@@ -157,24 +157,15 @@ MeasurementSnapshot MeshController::sense_snapshot() const {
 
     // Recorders speak window coordinates (bases set at start_probing), so
     // the expected count is simply the window size.
-    double p_data = 1.0, p_ack = 1.0;
-    if (data_rec != nullptr) {
-      const auto pat = data_rec->pattern(expected);
-      if (!pat.empty()) p_data = estimate_channel_loss(pat, cfg_.w_min).p_ch;
-    }
-    if (ack_rec != nullptr) {
-      const auto pat = ack_rec->pattern(expected);
-      if (!pat.empty()) p_ack = estimate_channel_loss(pat, cfg_.w_min).p_ch;
-    }
-
+    const MacTimings& timings = net_.node(l.src).mac().timings();
     SnapshotLink sl;
     sl.src = l.src;
     sl.dst = l.dst;
     sl.rate = l.rate;
-    sl.retry_limit = net_.node(l.src).mac().timings().retry_limit;
-    sl.estimate = capacity_from_losses(net_.node(l.src).mac().timings(),
-                                       cfg_.payload_bytes, l.rate, p_data,
-                                       p_ack);
+    sl.retry_limit = timings.retry_limit;
+    sl.estimate =
+        estimate_link_capacity(timings, cfg_.payload_bytes, l.rate, data_rec,
+                               expected, ack_rec, expected, cfg_.w_min);
     snap.links.push_back(sl);
   }
 

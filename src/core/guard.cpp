@@ -67,7 +67,9 @@ ValidationReport SnapshotValidator::validate(
   // (non-finite anywhere, unusable capacity) are dropped; finite
   // out-of-range losses and capacity outliers are clamped in place.
   std::vector<SnapshotLink> kept;
+  std::vector<int> kept_index;  // snap.links index of each kept link
   kept.reserve(snap.links.size());
+  kept_index.reserve(snap.links.size());
   for (std::size_t i = 0; i < snap.links.size(); ++i) {
     SnapshotLink& l = snap.links[i];
     LinkCapacityEstimate& e = l.estimate;
@@ -114,6 +116,7 @@ ValidationReport SnapshotValidator::validate(
     } else {
       if (clamped) ++report.links_clamped;
       kept.push_back(l);
+      kept_index.push_back(idx);
     }
   }
 
@@ -147,8 +150,23 @@ ValidationReport SnapshotValidator::validate(
     }
   }
 
-  if (report.links_dropped > 0 && cfg_.repair)
+  if (report.links_dropped > 0 && cfg_.repair) {
+    // The LIR table is aligned with `links`: drop the same rows and
+    // columns so it stays L×L over the surviving links.
+    const int n = static_cast<int>(snap.links.size());
+    if (!snap.lir.empty() && snap.lir.rows() == n && snap.lir.cols() == n) {
+      const int k = static_cast<int>(kept_index.size());
+      DenseMatrix lir(k, k);
+      for (int a = 0; a < k; ++a) {
+        for (int b = 0; b < k; ++b) {
+          lir(a, b) = snap.lir(kept_index[std::size_t(a)],
+                               kept_index[std::size_t(b)]);
+        }
+      }
+      snap.lir = std::move(lir);
+    }
     snap.links = std::move(kept);
+  }
 
   // Coverage against the expected link set (partial-snapshot detection).
   // Measured against the links that SURVIVED repair: a snapshot whose

@@ -16,24 +16,31 @@ LinkCapacityEstimate capacity_from_losses(const MacTimings& t,
 
 LinkCapacityEstimate estimate_link_capacity(
     const MacTimings& t, int payload_bytes, Rate rate,
+    const LossRecorder* data, std::uint64_t expected_data,
+    const LossRecorder* ack, std::uint64_t expected_ack, int w_min) {
+  // A stream nobody heard (no recorder, or an empty pattern): dead link.
+  const auto channel_loss = [w_min](const LossRecorder* rec,
+                                    std::uint64_t expected) {
+    if (rec == nullptr) return 1.0;
+    const auto pat = rec->pattern(expected);
+    return pat.empty() ? 1.0 : estimate_channel_loss(pat, w_min).p_ch;
+  };
+  const double p_data = channel_loss(data, expected_data);
+  const double p_ack = channel_loss(ack, expected_ack);
+  return capacity_from_losses(t, payload_bytes, rate, p_data, p_ack);
+}
+
+LinkCapacityEstimate estimate_link_capacity(
+    const MacTimings& t, int payload_bytes, Rate rate,
     const ProbeMonitor& monitor_at_dst, NodeId src,
     const ProbeMonitor& monitor_at_src, NodeId dst,
     std::uint64_t expected_data, std::uint64_t expected_ack, int w_min) {
-  double p_data = 1.0;  // no probes heard at all: assume dead link
-  double p_ack = 1.0;
-
-  if (const LossRecorder* rec =
-          monitor_at_dst.stream({src, rate, ProbeKind::kDataProbe})) {
-    const auto pat = rec->pattern(expected_data);
-    if (!pat.empty()) p_data = estimate_channel_loss(pat, w_min).p_ch;
-  }
-  if (const LossRecorder* rec = monitor_at_src.stream(
-          {dst, Rate::kR1Mbps, ProbeKind::kAckProbe})) {
-    const auto pat = rec->pattern(expected_ack);
-    if (!pat.empty()) p_ack = estimate_channel_loss(pat, w_min).p_ch;
-  }
-
-  return capacity_from_losses(t, payload_bytes, rate, p_data, p_ack);
+  return estimate_link_capacity(
+      t, payload_bytes, rate,
+      monitor_at_dst.stream({src, rate, ProbeKind::kDataProbe}),
+      expected_data,
+      monitor_at_src.stream({dst, Rate::kR1Mbps, ProbeKind::kAckProbe}),
+      expected_ack, w_min);
 }
 
 }  // namespace meshopt

@@ -24,6 +24,17 @@ struct LinkCapacityEstimate {
     const MacTimings& t, int payload_bytes, Rate rate, double p_ch_data,
     double p_ch_ack);
 
+/// Online path from the two probe streams' recorders: run the
+/// channel-loss estimator on `data` (src's DATA probes heard at dst) and
+/// `ack` (dst's ACK probes heard at src) and evaluate Eq. 6. A null
+/// recorder, or one whose pattern is empty, is a dead stream (loss 1).
+/// `expected_*` are the number of probes the respective sender emitted in
+/// the window (used to pad trailing losses).
+[[nodiscard]] LinkCapacityEstimate estimate_link_capacity(
+    const MacTimings& t, int payload_bytes, Rate rate,
+    const LossRecorder* data, std::uint64_t expected_data,
+    const LossRecorder* ack, std::uint64_t expected_ack, int w_min = 10);
+
 /// Full online path: read the (src -> dst) DATA stream and (dst -> src) ACK
 /// stream from the receivers' monitors, run the channel-loss estimator on
 /// both, and evaluate Eq. 6.

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <numeric>
+#include <utility>
 
 #include "util/mathfit.h"
 
@@ -9,38 +13,95 @@ namespace meshopt {
 
 namespace {
 
-/// Median (across a few replicas) of the sliding-window minimum loss count
-/// for a uniform Bernoulli(q) process of length s with window w. Uses an
-/// internal deterministic RNG so the estimator stays reproducible.
-double expected_min_window_count(double q, int w, int s) {
-  constexpr int kReplicas = 5;
-  std::vector<double> mins;
-  mins.reserve(kReplicas);
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL ^
-                        (static_cast<std::uint64_t>(w) << 32) ^
-                        static_cast<std::uint64_t>(s);
-  const auto next_u01 = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return static_cast<double>(state >> 11) * 0x1.0p-53;
-  };
-  for (int r = 0; r < kReplicas; ++r) {
-    int in_window = 0;
-    int best = w + 1;
-    std::vector<std::uint8_t> ring(static_cast<std::size_t>(w), 0);
-    for (int i = 0; i < s; ++i) {
-      const std::uint8_t loss = next_u01() < q ? 1 : 0;
-      const std::size_t slot = static_cast<std::size_t>(i % w);
-      if (i >= w) in_window -= ring[slot];
-      ring[slot] = loss;
-      in_window += loss;
-      if (i >= w - 1) best = std::min(best, in_window);
+/// The bias-correction model: kReplicas replicas of a uniform Bernoulli(q)
+/// process of length s, each drawn from a fixed xorshift stream seeded by
+/// (w, s); the statistic is the median (across replicas) of the
+/// sliding-window minimum loss count for window w.
+///
+/// For a fixed (w, s) the kReplicas*s draws never change, so the loss set
+/// {u < q} — and with it the statistic — depends on q only through the cut
+/// j = #{draws < q}. The statistic is therefore a non-decreasing step
+/// function of q with a step only at draw values. The table sorts the
+/// draws once and fills the statistic per cut lazily, so evaluating it is
+/// a binary search plus (the first time a cut is seen) one pass over the
+/// draws — the same loss sets and the same counts as simulating afresh.
+class MinWindowStepTable {
+ public:
+  static constexpr int kReplicas = 5;
+
+  MinWindowStepTable(int w, int s) : w_(w), s_(s) {
+    const std::size_t n =
+        static_cast<std::size_t>(kReplicas) * static_cast<std::size_t>(s);
+    std::uint64_t state = 0x9e3779b97f4a7c15ULL ^
+                          (static_cast<std::uint64_t>(w) << 32) ^
+                          static_cast<std::uint64_t>(s);
+    std::vector<double> draws(n);
+    for (double& u : draws) {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      u = static_cast<double>(state >> 11) * 0x1.0p-53;
     }
-    mins.push_back(static_cast<double>(best));
+    // Rank of each draw in ascending order. Tied draws are never split by
+    // a cut (a cut counts the draws strictly below q), so their relative
+    // order is immaterial.
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0U);
+    std::stable_sort(order.begin(), order.end(),
+                     [&draws](std::uint32_t a, std::uint32_t b) {
+                       return draws[a] < draws[b];
+                     });
+    sorted_.resize(n);
+    rank_.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      sorted_[r] = draws[order[r]];
+      rank_[order[r]] = static_cast<std::uint32_t>(r);
+    }
+    value_.assign(n + 1, -1);
   }
-  std::nth_element(mins.begin(), mins.begin() + kReplicas / 2, mins.end());
-  return mins[kReplicas / 2];
+
+  /// Median-of-replicas sliding-window minimum loss count at loss rate q.
+  double at(double q) {
+    const auto j = static_cast<std::size_t>(
+        std::lower_bound(sorted_.begin(), sorted_.end(), q) -
+        sorted_.begin());
+    if (value_[j] < 0) value_[j] = fill(static_cast<std::uint32_t>(j));
+    return static_cast<double>(value_[j]);
+  }
+
+ private:
+  /// The statistic when exactly the draws of rank < j are losses.
+  int fill(std::uint32_t j) const {
+    int mins[kReplicas];
+    for (int r = 0; r < kReplicas; ++r) {
+      const std::uint32_t* rank =
+          rank_.data() + static_cast<std::size_t>(r) * std::size_t(s_);
+      int in_window = 0;
+      int best = w_ + 1;
+      for (int i = 0; i < s_; ++i) {
+        if (i >= w_) in_window -= rank[i - w_] < j ? 1 : 0;
+        in_window += rank[i] < j ? 1 : 0;
+        if (i >= w_ - 1) best = std::min(best, in_window);
+      }
+      mins[r] = best;
+    }
+    std::nth_element(mins, mins + kReplicas / 2, mins + kReplicas);
+    return mins[kReplicas / 2];
+  }
+
+  int w_;
+  int s_;
+  std::vector<double> sorted_;       ///< all draws, ascending
+  std::vector<std::uint32_t> rank_;  ///< draw index -> position in sorted_
+  std::vector<int> value_;           ///< statistic per cut; -1 = not filled
+};
+
+/// The calling thread's table for (w, s), built on first use. Tables are
+/// per thread so concurrent estimators share nothing; memory is bounded by
+/// the distinct (w, s) pairs the thread has evaluated.
+MinWindowStepTable& step_table(int w, int s) {
+  thread_local std::map<std::pair<int, int>, MinWindowStepTable> tables;
+  return tables.try_emplace({w, s}, w, s).first->second;
 }
 
 }  // namespace
@@ -50,6 +111,7 @@ double min_statistic_corrected_rate(double raw_rate, int window,
   if (n_windows <= 1 || window <= 0) return raw_rate;
   const int s = n_windows + window - 1;
   const double k_min = raw_rate * static_cast<double>(window);
+  MinWindowStepTable& typical_min = step_table(window, s);
   // Find q whose typical sliding-window minimum matches the observation
   // (monotone in q -> bisection). This captures both the Binomial tail and
   // the overlapping-window extreme-value effect without approximation.
@@ -59,11 +121,11 @@ double min_statistic_corrected_rate(double raw_rate, int window,
   // transition point).
   double lo = std::clamp(raw_rate, 0.0, 1.0);
   double hi = 1.0;
-  if (expected_min_window_count(hi, window, s) <= k_min) return hi;
-  if (expected_min_window_count(lo, window, s) > k_min) return lo;
+  if (typical_min.at(hi) <= k_min) return hi;
+  if (typical_min.at(lo) > k_min) return lo;
   for (int it = 0; it < 22; ++it) {
     const double mid = 0.5 * (lo + hi);
-    if (expected_min_window_count(mid, window, s) <= k_min) {
+    if (typical_min.at(mid) <= k_min) {
       lo = mid;
     } else {
       hi = mid;

@@ -40,6 +40,14 @@ struct ChannelLossEstimate {
 /// Extreme-value bias correction for a minimum-over-windows loss-rate
 /// statistic: the loss rate q whose 1/n_windows lower Binomial quantile in
 /// a window of the given size matches the observed minimum `raw_rate`.
+///
+/// Cost: a 24-step bisection over a per-(window, S) step table of the
+/// typical minimum (S = n_windows + window - 1). Each step is a binary
+/// search over the table's 5*S sorted draws. The first call for a pair
+/// builds the table in O(S log S); a cut seen for the first time adds one
+/// O(S) pass. Tables are kept per thread for the life of the thread, about
+/// 16*5*S bytes per distinct pair (about 16 KB at S = 200). Results are
+/// bit-identical to simulating the 5*S draws on every step.
 [[nodiscard]] double min_statistic_corrected_rate(double raw_rate, int window,
                                                   int n_windows);
 

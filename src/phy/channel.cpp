@@ -18,6 +18,7 @@ Channel::Channel(Simulator& sim, PhyParams phy, RngStream rng)
   cs_mw_ = dbm_to_mw(phy_.cs_threshold_dbm);
   // Signals 20 dB below the noise floor are ignored entirely.
   hear_floor_mw_ = dbm_to_mw(phy_.noise_floor_dbm - 20.0);
+  capture_lin_ = dbm_to_mw(phy_.capture_margin_db);
 }
 
 NodeId Channel::add_node(PhySap* sap) {
@@ -30,14 +31,18 @@ NodeId Channel::add_node(PhySap* sap) {
   nodes_.back().heard.reserve(8);
   for (auto& row : rss_dbm_) row.push_back(kUnreachableDbm);
   rss_dbm_.emplace_back(nodes_.size(), kUnreachableDbm);
+  for (auto& row : rss_mw_) row.push_back(0.0);
+  rss_mw_.emplace_back(nodes_.size(), 0.0);
   reach_.emplace_back();  // new node is unreachable by default
   reach_gen_.push_back(0);
   return id;
 }
 
 void Channel::set_rss_dbm(NodeId a, NodeId b, double dbm) {
-  rss_dbm_.at(static_cast<std::size_t>(a)).at(static_cast<std::size_t>(b)) =
-      dbm;
+  const auto ia = static_cast<std::size_t>(a);
+  const auto ib = static_cast<std::size_t>(b);
+  rss_dbm_.at(ia).at(ib) = dbm;
+  rss_mw_[ia][ib] = dbm <= kUnreachableDbm ? 0.0 : dbm_to_mw(dbm);
   update_reach(a, b);
 }
 
@@ -68,8 +73,8 @@ double Channel::rss_dbm(NodeId a, NodeId b) const {
 }
 
 double Channel::rss_mw(NodeId a, NodeId b) const {
-  const double dbm = rss_dbm(a, b);
-  return dbm <= kUnreachableDbm ? 0.0 : dbm_to_mw(dbm);
+  if (a == b) return 0.0;
+  return rss_mw_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
 }
 
 void Channel::set_error_model(std::shared_ptr<const ErrorModel> model) {
@@ -165,11 +170,12 @@ void Channel::handle_frame_start_at(NodeId n, const Frame& f, double rss) {
 
   if (!st.transmitting) {
     if (!st.lock.has_value()) {
-      // Try to acquire the preamble: strong enough and clean enough.
-      const bool strong = mw_to_dbm(rss) >= phy_.sensitivity_dbm(f.rate);
-      const bool clean =
-          sinr_db(rss, interference_before) >= phy_.sinr_min_db(f.rate);
-      if (strong && clean) {
+      // Try to acquire the preamble: strong enough and clean enough. The
+      // SINR test only runs for frames strong enough to lock.
+      const double dbm = mw_to_dbm(rss);
+      if (dbm >= phy_.sensitivity_dbm(f.rate) &&
+          dbm - mw_to_dbm(noise_mw_ + interference_before) >=
+              phy_.sinr_min_db(f.rate)) {
         RxLock lock;
         lock.frame_id = f.id;
         lock.frame = f;
@@ -179,9 +185,7 @@ void Channel::handle_frame_start_at(NodeId n, const Frame& f, double rss) {
       }
     } else {
       RxLock& lock = *st.lock;
-      const double capture_lin = dbm_to_mw(phy_.capture_margin_db) /
-                                 1.0;  // margin as linear ratio
-      if (rss >= lock.rss_mw * capture_lin &&
+      if (rss >= lock.rss_mw * capture_lin_ &&
           mw_to_dbm(rss) >= phy_.sensitivity_dbm(f.rate)) {
         // Message-in-message capture: the new frame steals the receiver.
         // The interference seen by the new frame includes the old one.

@@ -149,6 +149,9 @@ class Channel {
   std::shared_ptr<const ErrorModel> error_;
   std::vector<PhyState> nodes_;
   std::vector<std::vector<double>> rss_dbm_;  // [tx][rx]
+  /// rss_dbm_ in linear mW (0 when unreachable), refreshed by set_rss_dbm
+  /// so the per-frame fan-out reads it instead of re-exponentiating.
+  std::vector<std::vector<double>> rss_mw_;  // [tx][rx]
   /// Per-transmitter neighbor index: receivers whose RSS from the node is
   /// above the hear floor, ascending. Maintained incrementally by
   /// set_rss_dbm so start_tx/end_tx fan out over O(degree) nodes, not O(N).
@@ -162,6 +165,7 @@ class Channel {
   double noise_mw_ = 0.0;
   double cs_mw_ = 0.0;
   double hear_floor_mw_ = 0.0;
+  double capture_lin_ = 0.0;  ///< capture margin as a linear power ratio
 };
 
 }  // namespace meshopt

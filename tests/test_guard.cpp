@@ -181,6 +181,20 @@ TEST(SnapshotValidator, StrictModeRejectsInsteadOfRepairing) {
   EXPECT_FALSE(report.issues[0].repaired);
 }
 
+TEST(SnapshotValidator, LinkDropRepairPrunesTheLirTable) {
+  MeasurementSnapshot snap = chain_snapshot();
+  snap.links.push_back(make_link(2, 3, 2e6));
+  snap.neighbors.push_back({2, 3});
+  snap.lir = DenseMatrix{{0.0, 0.1, 0.2}, {1.0, 1.1, 1.2}, {2.0, 2.1, 2.2}};
+  snap.links[1].estimate.capacity_bps = kNan;
+  const ValidationReport report = SnapshotValidator().validate(snap);
+  EXPECT_EQ(report.verdict, SnapshotVerdict::kRepaired);
+  EXPECT_EQ(report.links_dropped, 1);
+  ASSERT_EQ(snap.links.size(), 2u);
+  // Row and column 1 go with the dropped link; the rest keep their order.
+  EXPECT_EQ(snap.lir, (DenseMatrix{{0.0, 0.2}, {2.0, 2.2}}));
+}
+
 // --------------------------------------------------------- PlanValidator
 
 RatePlan feasible_plan() {
@@ -270,8 +284,9 @@ struct GuardedRig {
   Workbench wb;
   MeshController ctl;
 
-  explicit GuardedRig(std::uint64_t seed)
-      : wb(seed), ctl(wb.net(), guard_test_config(), seed) {
+  explicit GuardedRig(std::uint64_t seed,
+                      ControllerConfig cfg = guard_test_config())
+      : wb(seed), ctl(wb.net(), cfg, seed) {
     build_gateway_chain(wb);
     ManagedFlow far;
     far.flow_id = wb.net().open_flow(0, 2, Protocol::kUdp, 1470);
@@ -341,6 +356,51 @@ TEST(GuardedController, RepairedSnapshotDegradesAndDecaysTrust) {
   EXPECT_EQ(round.health, HealthState::kHealthy);
   EXPECT_DOUBLE_EQ(rig.ctl.trust(), 1.0);
   EXPECT_EQ(round.x, healthy_x);
+}
+
+TEST(GuardedController, LinkDropRepairPlansOverTheRemainingLinks) {
+  ControllerConfig cfg = guard_test_config();
+  cfg.interference = InterferenceModelKind::kLirTable;
+  GuardedRig rig(53, cfg);
+  GuardedRig twin(53, cfg);
+  rig.ctl.set_guard(GuardConfig{});
+  twin.ctl.set_guard(GuardConfig{});
+  MeasurementSnapshot snap = rig.sense();
+  (void)twin.sense();
+  const int n = static_cast<int>(snap.links.size());
+  ASSERT_EQ(n, 3);
+  // The far flow's two hops conflict with each other; the near flow's
+  // link is independent of both.
+  snap.lir = DenseMatrix(n, n, 1.0);
+  const int a = snap.link_index(0, 1);
+  const int b = snap.link_index(1, 2);
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  snap.lir(a, b) = 0.5;
+  snap.lir(b, a) = 0.5;
+
+  // The twin plans the same window with the link already gone: links
+  // and LIR table pruned by hand.
+  const int dropped = snap.link_index(3, 2);
+  ASSERT_GE(dropped, 0);
+  MeasurementSnapshot pruned = snap;
+  pruned.links.erase(pruned.links.begin() + dropped);
+  pruned.lir = DenseMatrix(n - 1, n - 1, 1.0);
+  pruned.lir(pruned.link_index(0, 1), pruned.link_index(1, 2)) = 0.5;
+  pruned.lir(pruned.link_index(1, 2), pruned.link_index(0, 1)) = 0.5;
+
+  snap.links[std::size_t(dropped)].estimate.capacity_bps = kNan;
+  const RoundResult round = rig.ctl.guarded_step(snap);
+  ASSERT_TRUE(round.ok);
+  EXPECT_EQ(round.health, HealthState::kDegraded);
+  EXPECT_EQ(rig.ctl.health_stats().snapshots_repaired, 1u);
+  EXPECT_EQ(rig.ctl.health_stats().links_dropped, 1u);
+  EXPECT_EQ(rig.ctl.snapshot().links.size(), 2u);
+  EXPECT_EQ(rig.ctl.snapshot().lir, pruned.lir);
+
+  const RoundResult expected = twin.ctl.guarded_step(pruned);
+  ASSERT_TRUE(expected.ok);
+  EXPECT_EQ(rig.ctl.last_plan(), twin.ctl.last_plan());
 }
 
 TEST(GuardedController, RepairedSnapshotsNeverEnterThePlannerCache) {

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
@@ -132,6 +137,149 @@ TEST(LossEstimator, ShortWindowStillSane) {
   EXPECT_GE(est.p_ch, 0.0);
   EXPECT_LE(est.p_ch, est.p + 1e-12);
   EXPECT_NEAR(est.p_ch, 0.1, 0.09);
+}
+
+// ---- differential test: step-table evaluation vs. the Monte-Carlo oracle
+
+// The Monte-Carlo bias-correction model the estimator used before it moved
+// to a per-(window, S) step table, verbatim. min_statistic_corrected_rate
+// must reproduce it bit for bit.
+double oracle_expected_min_window_count(double q, int w, int s) {
+  constexpr int kReplicas = 5;
+  std::vector<double> mins;
+  mins.reserve(kReplicas);
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL ^
+                        (static_cast<std::uint64_t>(w) << 32) ^
+                        static_cast<std::uint64_t>(s);
+  const auto next_u01 = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<double>(state >> 11) * 0x1.0p-53;
+  };
+  for (int r = 0; r < kReplicas; ++r) {
+    int in_window = 0;
+    int best = w + 1;
+    std::vector<std::uint8_t> ring(static_cast<std::size_t>(w), 0);
+    for (int i = 0; i < s; ++i) {
+      const std::uint8_t loss = next_u01() < q ? 1 : 0;
+      const std::size_t slot = static_cast<std::size_t>(i % w);
+      if (i >= w) in_window -= ring[slot];
+      ring[slot] = loss;
+      in_window += loss;
+      if (i >= w - 1) best = std::min(best, in_window);
+    }
+    mins.push_back(static_cast<double>(best));
+  }
+  std::nth_element(mins.begin(), mins.begin() + kReplicas / 2, mins.end());
+  return mins[kReplicas / 2];
+}
+
+double oracle_min_statistic_corrected_rate(double raw_rate, int window,
+                                           int n_windows) {
+  if (n_windows <= 1 || window <= 0) return raw_rate;
+  const int s = n_windows + window - 1;
+  const double k_min = raw_rate * static_cast<double>(window);
+  double lo = std::clamp(raw_rate, 0.0, 1.0);
+  double hi = 1.0;
+  if (oracle_expected_min_window_count(hi, window, s) <= k_min) return hi;
+  if (oracle_expected_min_window_count(lo, window, s) > k_min) return lo;
+  for (int it = 0; it < 22; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (oracle_expected_min_window_count(mid, window, s) <= k_min) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+struct CorrectionCase {
+  double raw_rate = 0.0;
+  int window = 0;
+  int n_windows = 0;
+  double expected = 0.0;  ///< the oracle's answer
+};
+
+/// Every window 1..S and every integer loss count k (raw rate k/window)
+/// for S in {20, 30, 50, 200}; 10^4 random raw rates over random windows
+/// of those S; and a few out-of-range and non-finite raw rates. Built (and
+/// run through the oracle) once per process.
+const std::vector<CorrectionCase>& correction_cases() {
+  static const std::vector<CorrectionCase> cases = [] {
+    constexpr int kS[] = {20, 30, 50, 200};
+    std::vector<CorrectionCase> out;
+    for (int s : kS) {
+      for (int w = 1; w <= s; ++w) {
+        for (int k = 0; k <= w; ++k) {
+          out.push_back({static_cast<double>(k) / static_cast<double>(w), w,
+                         s - w + 1});
+        }
+      }
+    }
+    RngStream rng(2024, "corrected-rate");
+    for (int i = 0; i < 10000; ++i) {
+      const int s = kS[rng.uniform_int(0, 3)];
+      const int w = rng.uniform_int(1, s);
+      out.push_back({rng.uniform(0.0, 1.0), w, s - w + 1});
+    }
+    for (double raw : {-0.25, 1.5, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+      for (int w : {1, 7, 29}) out.push_back({raw, w, 30 - w + 1});
+    }
+    for (CorrectionCase& c : out) {
+      c.expected =
+          oracle_min_statistic_corrected_rate(c.raw_rate, c.window, c.n_windows);
+    }
+    return out;
+  }();
+  return cases;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(CorrectedRateDifferential, MatchesMonteCarloOracleBitForBit) {
+  const auto& cases = correction_cases();
+  ASSERT_GT(cases.size(), 30000u);
+  int mismatches = 0;
+  for (const CorrectionCase& c : cases) {
+    const double got =
+        min_statistic_corrected_rate(c.raw_rate, c.window, c.n_windows);
+    if (!same_bits(got, c.expected)) {
+      ADD_FAILURE() << "raw_rate=" << c.raw_rate << " window=" << c.window
+                    << " n_windows=" << c.n_windows << ": got " << got
+                    << ", oracle " << c.expected;
+      if (++mismatches >= 10) return;
+    }
+  }
+}
+
+TEST(CorrectedRateDifferential, MatchesOracleFromFourThreads) {
+  const auto& cases = correction_cases();
+  // Each thread walks every case from its own starting offset, so the
+  // per-thread tables fill their cuts in different orders.
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&cases, &mismatches, t] {
+      const std::size_t n = cases.size();
+      const std::size_t start = n * static_cast<std::size_t>(t) / kThreads;
+      for (std::size_t i = 0; i < n; ++i) {
+        const CorrectionCase& c = cases[(start + i) % n];
+        const double got =
+            min_statistic_corrected_rate(c.raw_rate, c.window, c.n_windows);
+        if (!same_bits(got, c.expected)) ++mismatches[std::size_t(t)];
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[std::size_t(t)], 0) << "thread " << t;
+  }
 }
 
 }  // namespace
