@@ -309,6 +309,7 @@ LpSolution ColumnGenOptimizer::cg_solve(const ColumnGenInput& in,
           warm_rows_ == master_.num_constraints()) {
         ++stats_.warm_starts;
         sol = lp_.solve_with_basis(master_, warm_basis_);
+        if (!lp_.hint_used()) ++stats_.warm_start_fallbacks;
       } else {
         sol = lp_.solve(master_);
       }
@@ -328,6 +329,7 @@ LpSolution ColumnGenOptimizer::cg_solve(const ColumnGenInput& in,
     sol = lp_.resolve_with_added_columns(master_);
     ++stats_.master_solves;
   }
+  stats_.pivots = lp_.pivots();
   return sol;
 }
 
@@ -651,7 +653,8 @@ OptimizerResult ColumnGenOptimizer::solve(const ColumnGenInput& input) {
 
   ++stats_.solves;
   solve_pricing_rounds_ = 0;
-  const std::uint64_t warm_before = stats_.warm_starts;
+  const std::uint64_t warm_before =
+      stats_.warm_starts - stats_.warm_start_fallbacks;
   const std::uint64_t admitted_before = stats_.columns_admitted;
   ObsSpan pricing_span(obs_, ObsStage::kPricing);
   seed_columns(input);
@@ -675,8 +678,12 @@ OptimizerResult ColumnGenOptimizer::solve(const ColumnGenInput& input) {
   }
   r.columns_used = columns_.count();
   r.pricing_rounds = solve_pricing_rounds_;
-  pricing_span.code(stats_.warm_starts > warm_before ? ObsCode::kWarmStart
-                                                     : ObsCode::kColdStart);
+  // kWarmStart only when some master actually started from the carried
+  // basis; an offered basis the solver rejected was a cold start.
+  pricing_span.code(
+      stats_.warm_starts - stats_.warm_start_fallbacks > warm_before
+          ? ObsCode::kWarmStart
+          : ObsCode::kColdStart);
   pricing_span.payload(static_cast<std::uint64_t>(solve_pricing_rounds_),
                        stats_.columns_admitted - admitted_before);
   return r;

@@ -75,7 +75,10 @@ struct ColumnGenStats {
   std::uint64_t pricing_rounds = 0;     ///< pricing-oracle invocations
   std::uint64_t columns_seeded = 0;     ///< greedy seed columns
   std::uint64_t columns_admitted = 0;   ///< columns priced in by the oracle
-  std::uint64_t warm_starts = 0;        ///< masters started from a carried basis
+  std::uint64_t warm_starts = 0;        ///< masters offered a carried basis
+  std::uint64_t warm_start_fallbacks = 0;  ///< offers the solver rejected
+                                           ///< (solved cold instead)
+  std::uint64_t pivots = 0;             ///< simplex pivots (LpSolver::pivots)
   std::uint64_t oracle_nodes = 0;       ///< MWIS branch-and-bound nodes
   std::uint64_t oracle_truncated = 0;   ///< oracle calls that hit mwis_node_cap
 };
@@ -187,7 +190,8 @@ class ColumnGenOptimizer {
 
   /// Attach a trace recorder (borrowed; nullptr detaches). Each solve()
   /// then emits one kPricing span under the caller's ambient context:
-  /// warm/cold basis as the code, pricing rounds and columns admitted as
+  /// warm/cold basis as the code (warm only when the solver accepted the
+  /// carried basis), pricing rounds and columns admitted as
   /// the payload. The planner forwards its recorder to the warm state it
   /// owns (core/planner.h), so fast-tier rounds report automatically.
   void set_observer(TraceRecorder* obs) { obs_ = obs; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -91,16 +92,30 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
     return fallback_plan(snap, kind, flows, cfg, mis_cap, cacheable,
                          &DecomposeStats::fallback_connected);
 
-  // Assign each flow to the one component its modeled links live in. The
-  // decomposition is exact only when flows never straddle components.
+  // Resolve every flow's hops to global link ids once (-1: unmodeled
+  // hop). Assignment, per-component routing and the loss tail all read
+  // these instead of scanning the link list per hop.
   const std::size_t num_flows = flows.size();
-  std::vector<int> flow_comp(num_flows, -1);
+  std::vector<std::size_t> hop_begin(num_flows + 1, 0);
+  std::vector<int> hop_link;
   for (std::size_t s = 0; s < num_flows; ++s) {
     const auto& path = flows[s].path;
+    for (std::size_t h = 0; h + 1 < path.size(); ++h)
+      hop_link.push_back(snap.link_index(path[h], path[h + 1]));
+    hop_begin[s + 1] = hop_link.size();
+  }
+  const auto hops = [&](std::size_t s) {
+    return std::span<const int>(hop_link.data() + hop_begin[s],
+                                hop_begin[s + 1] - hop_begin[s]);
+  };
+
+  // Assign each flow to the one component its modeled links live in. The
+  // decomposition is exact only when flows never straddle components.
+  std::vector<int> flow_comp(num_flows, -1);
+  for (std::size_t s = 0; s < num_flows; ++s) {
     int comp = -1;
     bool single = true;
-    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-      const int l = snap.link_index(path[h], path[h + 1]);
+    for (const int l : hops(s)) {
       if (l < 0) continue;
       const int c = part.component_of[static_cast<std::size_t>(l)];
       if (comp < 0)
@@ -180,12 +195,16 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
 
     const int sub_links = static_cast<int>(w.sub.links.size());
     const int sub_flows = static_cast<int>(w.flow_ids.size());
+    // Every modeled hop of an assigned flow lies in this component, and
+    // restrict_to keeps the ascending order of slot.members, so a global
+    // id's position in members is its local index.
     DenseMatrix routing(sub_links, sub_flows);
     for (int i = 0; i < sub_flows; ++i) {
-      const auto& path = flows[w.flow_ids[static_cast<std::size_t>(i)]].path;
-      for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-        const int l = w.sub.link_index(path[h], path[h + 1]);
-        if (l >= 0) routing(l, i) = 1.0;
+      for (const int g : hops(w.flow_ids[static_cast<std::size_t>(i)])) {
+        if (g < 0) continue;
+        const auto it =
+            std::lower_bound(slot.members.begin(), slot.members.end(), g);
+        routing(static_cast<int>(it - slot.members.begin()), i) = 1.0;
       }
     }
 
@@ -415,8 +434,7 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
     const FlowSpec& f = flows[s];
     // Residual network-layer loss after MAC retries: p_net = p_link^R.
     double deliver = 1.0;
-    for (std::size_t h = 0; h + 1 < f.path.size(); ++h) {
-      const int li = snap.link_index(f.path[h], f.path[h + 1]);
+    for (const int li : hops(s)) {
       if (li < 0) continue;
       const SnapshotLink& link = snap.links[static_cast<std::size_t>(li)];
       deliver *= 1.0 - std::pow(link.estimate.p_link, link.retry_limit);

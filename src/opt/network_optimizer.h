@@ -109,6 +109,10 @@ class NetworkOptimizer {
   ///       may be reused with different shapes.
   [[nodiscard]] OptimizerResult solve(const OptimizerInput& input);
 
+  /// Simplex pivots across every solve of this instance
+  /// (LpSolver::pivots); a deterministic work count.
+  [[nodiscard]] std::uint64_t pivots() const { return lp_.pivots(); }
+
  private:
   OptimizerConfig cfg_;
   LpSolver lp_;  ///< shared simplex workspace across all internal solves

@@ -1,7 +1,9 @@
 #include "opt/simplex.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -10,6 +12,49 @@ namespace meshopt {
 namespace {
 
 constexpr double kEps = 1e-9;
+
+/// Tableaux narrower than this (row stride, in doubles) always take the
+/// dense update and keep no -0.0 flags: at the live and serving LPs'
+/// stride of about 32, the block walk and the flag upkeep cost more than
+/// skipping blocks saves.
+constexpr int kSparseMinStride = 64;
+
+/// Doubles per elimination block: one 64-byte line. The stride is a
+/// multiple of it (load() pads rows to 8 doubles).
+constexpr int kBlock = 8;
+
+/// True when v[0..n) holds a negative zero. The sparse elimination is
+/// exact only on rows without one (see LpSolver::pivot).
+[[nodiscard]] bool has_negative_zero(const double* v, int n) {
+  constexpr std::uint64_t kNegativeZero = std::uint64_t{1} << 63;
+  std::uint64_t found = 0;  // no early exit: the loop vectorizes
+  for (int j = 0; j < n; ++j)
+    found |= std::bit_cast<std::uint64_t>(v[j]) == kNegativeZero ? 1 : 0;
+  return found != 0;
+}
+
+[[nodiscard]] bool block_is_zero(const double* v) {
+  std::uint64_t nonzero = 0;
+  for (int t = 0; t < kBlock; ++t) nonzero |= v[t] != 0.0 ? 1 : 0;
+  return nonzero == 0;
+}
+
+// The block kernels stage results in a local array: the compiler cannot
+// rule out that r and p overlap, and without the staging it emits eight
+// scalar operations instead of one vector operation. The arithmetic per
+// element is the dense loop's.
+
+void divide_block(double* p, double pv) {
+  double out[kBlock];
+  for (int t = 0; t < kBlock; ++t) out[t] = p[t] / pv;
+  std::copy(out, out + kBlock, p);
+}
+
+void eliminate_block(double* r, const double* p, double f) {
+  double out[kBlock];
+  for (int t = 0; t < kBlock; ++t) out[t] = r[t] - f * p[t];
+  std::copy(out, out + kBlock, r);
+}
 
 [[nodiscard]] Relation flip(Relation r) {
   if (r == Relation::kLe) return Relation::kGe;
@@ -90,6 +135,7 @@ void LpSolver::load(const LpProblem& p) {
   stride_ = (n_ + 1 + 7) & ~7;
   tab_.resize(m_, stride_, 0.0);
   basis_.assign(static_cast<std::size_t>(m_), -1);
+  neg_zero_.assign(static_cast<std::size_t>(m_), 0);
   unit_col_.assign(static_cast<std::size_t>(m_), -1);
   row_sign_.assign(static_cast<std::size_t>(m_), 1.0);
 
@@ -122,6 +168,11 @@ void LpSolver::load(const LpProblem& p) {
     // the basis inverse — the handle duals() and
     // resolve_with_added_columns() read B^-1 through.
     unit_col_[static_cast<std::size_t>(i)] = basis_[static_cast<std::size_t>(i)];
+    // Only the caller's coefficients and rhs can bring in a -0.0; slack
+    // and artificial entries are +-1 or +0. Narrow tableaux keep no flags.
+    neg_zero_[static_cast<std::size_t>(i)] =
+        stride_ >= kSparseMinStride &&
+        (has_negative_zero(row, n_orig_) || has_negative_zero(row + n_, 1));
   }
 }
 
@@ -164,25 +215,67 @@ void LpSolver::make_reduced_costs_consistent() {
     double* obj = obj_.data();
     for (int j = 0; j < stride_; ++j) obj[j] -= coef * row[j];
   }
+  obj_neg_zero_ = has_negative_zero(obj_.data(), stride_);
 }
 
 void LpSolver::pivot(int row, int col) {
+  ++pivots_;
+  basis_[static_cast<std::size_t>(row)] = col;
   double* prow = tab_.row(row);
   const double pv = prow[col];
-  for (int j = 0; j < stride_; ++j) prow[j] /= pv;
+  // Block-sparse elimination, bit-identical to the dense kernel (divide
+  // the whole pivot row, then r[j] -= f * prow[j] over every row with
+  // |f| >= kEps and the objective row). Skipping an all-zero 8-double
+  // block of the pivot row is exact:
+  //  * dividing a zero by a positive finite pv returns that zero, so only
+  //    the nonzero blocks need the division;
+  //  * for finite f, r[j] - f * (+-0) == r[j] bit for bit, unless r[j] is
+  //    -0.0 (-0.0 - (-0.0) gives +0.0). Rows that may hold a -0.0
+  //    (neg_zero_) and rows with a non-finite f take the dense update.
+  // Processed blocks run the dense arithmetic, element for element, so
+  // the tableau matches the dense kernel's down to the sign of each zero.
+  // A narrow tableau, a pivot row without a zero block, or any other pv
+  // runs the dense kernel outright. Only wide tableaux keep the flags.
+  const bool wide = stride_ >= kSparseMinStride;
+  int* blocks = nullptr;
+  int nnz = 0;
+  bool dense = true;
+  char& prow_neg_zero = neg_zero_[static_cast<std::size_t>(row)];
+  if (wide && pv > 0.0 && std::isfinite(pv)) {
+    nz_blocks_.resize(static_cast<std::size_t>(stride_ / kBlock));
+    blocks = nz_blocks_.data();
+    for (int j = 0; j < stride_; j += kBlock) {
+      double* p = prow + j;
+      if (block_is_zero(p)) continue;
+      blocks[nnz++] = j;
+      divide_block(p, pv);
+      if (has_negative_zero(p, kBlock)) prow_neg_zero = 1;  // underflow
+    }
+    dense = nnz == stride_ / kBlock;
+  } else {
+    for (int j = 0; j < stride_; ++j) prow[j] /= pv;
+    if (wide) prow_neg_zero = has_negative_zero(prow, stride_);
+  }
+
+  const auto eliminate = [&](double* r, double f, bool full) {
+    if (full) {
+      for (int j = 0; j < stride_; ++j) r[j] -= f * prow[j];
+    } else {
+      for (int k = 0; k < nnz; ++k)
+        eliminate_block(r + blocks[k], prow + blocks[k], f);
+    }
+  };
   for (int i = 0; i < m_; ++i) {
     if (i == row) continue;
     double* r = tab_.row(i);
     const double f = r[col];
     if (std::abs(f) < kEps) continue;
-    for (int j = 0; j < stride_; ++j) r[j] -= f * prow[j];
+    eliminate(r, f, dense || neg_zero_[static_cast<std::size_t>(i)] != 0 ||
+                        !std::isfinite(f));
   }
   const double f = obj_[static_cast<std::size_t>(col)];
-  if (std::abs(f) > kEps) {
-    double* obj = obj_.data();
-    for (int j = 0; j < stride_; ++j) obj[j] -= f * prow[j];
-  }
-  basis_[static_cast<std::size_t>(row)] = col;
+  if (std::abs(f) > kEps)
+    eliminate(obj_.data(), f, dense || obj_neg_zero_ || !std::isfinite(f));
 }
 
 /// Pivot loop. `price_limit` bounds the entering-column scan: n_ in
@@ -379,6 +472,11 @@ LpSolution LpSolver::resolve_with_added_columns(const LpProblem& problem) {
   n_orig_ = new_orig;
   n_ = new_n;
   first_artificial_ += added;
+  // Narrow tableaux keep no -0.0 flags (see pivot()), and this one may
+  // just have become wide: recompute them.
+  for (int i = 0; i < m_; ++i)
+    neg_zero_[static_cast<std::size_t>(i)] =
+        has_negative_zero(tab_.row(i), stride_);
 
   const LpStatus st = phase2(problem.objective);
   if (st != LpStatus::kOptimal) basis_cached_ = false;
@@ -388,6 +486,7 @@ LpSolution LpSolver::resolve_with_added_columns(const LpProblem& problem) {
 LpSolution LpSolver::solve_with_basis(const LpProblem& problem,
                                       const std::vector<int>& hint) {
   basis_cached_ = false;
+  hint_used_ = false;
   if (problem.num_vars <= 0 ||
       static_cast<int>(hint.size()) != problem.num_constraints())
     return solve(problem);
@@ -408,6 +507,7 @@ LpSolution LpSolver::solve_with_basis(const LpProblem& problem,
   // pivot() folds each elimination into the objective row too; give it a
   // zeroed row of the current stride (phase 2 rebuilds the real one).
   obj_.assign(static_cast<std::size_t>(stride_), 0.0);
+  obj_neg_zero_ = false;
   // Crash the hinted basis in row by row. Once column c is pivoted into
   // row i it stays a unit column through the remaining pivots (each later
   // pivot column has a zero entry in every previously pivoted row), so
@@ -431,6 +531,7 @@ LpSolution LpSolver::solve_with_basis(const LpProblem& problem,
     if (basis_[static_cast<std::size_t>(i)] >= first_artificial_ && v > 1e-7)
       return solve(problem);
   }
+  hint_used_ = true;
   const LpStatus st = phase2(problem.objective);
   if (st == LpStatus::kOptimal) {
     basis_cached_ = true;

@@ -1,9 +1,20 @@
 #pragma once
-// Dense two-phase simplex LP solver on a flat row-major tableau.
+// Two-phase simplex LP solver on a flat row-major tableau: dense storage,
+// sparse elimination.
 //
 // Scope: the optimizer's problems are small (tens of links, a few flows,
 // up to a few hundred extreme points), so a dense tableau with Dantzig
 // pricing and a Bland anti-cycling fallback is simple and dependable.
+//
+// Elimination: the tableau is stored dense, but on wide tableaux (row
+// stride >= 64 doubles) a pivot lists the pivot row's nonzero 8-double
+// blocks once and updates only those blocks of every other row.
+// Rate-region masters over clique components are mostly exact zeros (a
+// single-link independent set is a column with two nonzeros), so this
+// skips most of the work. Every processed block runs the dense
+// arithmetic, and rows that may hold a -0.0 keep the full dense update, so
+// the tableau matches the dense kernel bit for bit, signs of zeros
+// included (ARCHITECTURE.md, "Optimizer").
 //
 // Problem form: maximize c.x subject to a set of <=, =, >= constraints and
 // x >= 0.
@@ -145,6 +156,15 @@ class LpSolver {
   [[nodiscard]] LpSolution solve_with_basis(const LpProblem& problem,
                                             const std::vector<int>& hint);
 
+  /// Whether the most recent solve_with_basis() started phase 2 from its
+  /// hint (true) or fell back to the cold two-phase path (false).
+  [[nodiscard]] bool hint_used() const { return hint_used_; }
+
+  /// Pivots performed over this solver's lifetime, every solve path and
+  /// both phases included (the crash pivots of a rejected hint too). A
+  /// deterministic work count: identical inputs give identical counts.
+  [[nodiscard]] std::uint64_t pivots() const { return pivots_; }
+
   /// Basic column per row of the most recent solve, in solver column
   /// layout (caller variables first, then slack/artificial). Meaningful
   /// after a kOptimal solve; feed back into solve_with_basis().
@@ -175,6 +195,8 @@ class LpSolver {
   int stride_ = 0;           ///< tableau row stride: n_ + 1 padded to 8
                              ///< doubles (64 B) so rows are SIMD-aligned
   bool basis_cached_ = false;  ///< feasible basis available for warm solves
+  bool hint_used_ = false;     ///< see hint_used()
+  std::uint64_t pivots_ = 0;   ///< see pivots()
   DenseMatrix tab_;          ///< m_ x stride_; column n_ is the RHS,
                              ///< columns beyond it stay exactly 0
   std::vector<double> obj_;  ///< reduced-cost row, length stride_
@@ -186,6 +208,12 @@ class LpSolver {
                                   ///< row to normalize a negative rhs
   std::vector<Relation> cached_rels_;  ///< fingerprint for warm-solve guard
   std::vector<double> cached_rhs_;     ///< fingerprint for warm-solve guard
+  std::vector<char> neg_zero_;  ///< per row: may hold a -0.0, so the sparse
+                                ///< pivot must update it densely (kept on
+                                ///< wide tableaux only)
+  bool obj_neg_zero_ = false;   ///< the same for the reduced-cost row
+  std::vector<int> nz_blocks_;  ///< first column of each nonzero 8-double
+                                ///< block of the pivot row (scratch)
 };
 
 /// One-shot convenience wrapper: constructs a fresh LpSolver and solves.

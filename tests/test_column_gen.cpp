@@ -281,8 +281,10 @@ TEST(ColumnGenOptimizer, WarmSolvesStayConsistentUnderCapacityDrift) {
     EXPECT_NEAR(fast.objective_value, exact.objective_value, tol)
         << "round " << round;
   }
-  // Warm state paid off: far fewer pricing rounds than a cold re-run of
-  // every round would need, and at least one warm basis start.
+  // Warm state carried across rounds: the working columns, and a saved
+  // basis offered to at least one master. (Here the solver rejects every
+  // offer and solves cold; PlanTiers.WarmStartsCountOnlyAcceptedBases pins
+  // both outcomes.)
   EXPECT_GE(warm.stats().warm_starts, 1u);
 }
 

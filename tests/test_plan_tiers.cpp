@@ -29,6 +29,8 @@
 #include "core/planner.h"
 #include "core/rate_plan.h"
 #include "core/snapshot.h"
+#include "obs/obs.h"
+#include "opt/column_gen.h"
 #include "probe/live_source.h"
 #include "scenario/topologies.h"
 #include "scenario/workbench.h"
@@ -277,6 +279,61 @@ TEST(PlanTiers, FastTierBitIdenticalAcrossRepeatedRuns) {
     EXPECT_TRUE(a[r].ok) << "round " << r;
     EXPECT_EQ(a[r], b[r]) << "round " << r;
   }
+}
+
+// ------------------------------------------------ warm-start accounting
+
+struct WarmStartRun {
+  ColumnGenStats stats;
+  std::vector<ObsCode> pricing_codes;  ///< one kPricing span per round
+};
+
+/// Five drifting rounds of the repeated-runs fixture above through one
+/// planner with a recorder attached.
+WarmStartRun warm_start_run(Objective objective) {
+  Planner planner(4);
+  TraceRecorder recorder;
+  planner.set_observer(&recorder);
+  PlanConfig cfg;
+  cfg.optimizer.objective = objective;
+  cfg.tier = PlanTier::kFast;
+  MeasurementSnapshot snap = lir_snapshot(20, 107);
+  const std::vector<FlowSpec> flows = span_flows(20);
+  RngStream drift(13, "tier-repeat");
+  for (int round = 0; round < 5; ++round) {
+    recorder.set_context(0, static_cast<std::uint64_t>(round));
+    for (SnapshotLink& l : snap.links)
+      l.estimate.capacity_bps *= drift.uniform(0.9, 1.1);
+    EXPECT_TRUE(
+        planner.plan(snap, InterferenceModelKind::kLirTable, flows, cfg).ok);
+  }
+  WarmStartRun run;
+  run.stats = planner.last_entry_column_gen()->stats();
+  for (const ObsRecord& r : recorder.canonical_records(false))
+    if (r.stage == ObsStage::kPricing) run.pricing_codes.push_back(r.code);
+  return run;
+}
+
+TEST(PlanTiers, WarmStartsCountOnlyAcceptedBases) {
+  // Rounds 2..5 each offer the carried basis to their first master.
+  // Under max-throughput the solver starts from it in rounds 2-4 and
+  // rejects it in round 5, whose master then solves cold.
+  const WarmStartRun accepted = warm_start_run(Objective::kMaxThroughput);
+  EXPECT_EQ(accepted.stats.warm_starts, 4u);
+  EXPECT_EQ(accepted.stats.warm_start_fallbacks, 1u);
+  EXPECT_EQ(accepted.pricing_codes,
+            (std::vector<ObsCode>{ObsCode::kColdStart, ObsCode::kWarmStart,
+                                  ObsCode::kWarmStart, ObsCode::kWarmStart,
+                                  ObsCode::kColdStart}));
+
+  // Proportional fairness offers the Frank–Wolfe master's basis, and the
+  // solver rejects it every time: no round may report a warm start.
+  const WarmStartRun rejected =
+      warm_start_run(Objective::kProportionalFair);
+  EXPECT_EQ(rejected.stats.warm_starts, 4u);
+  EXPECT_EQ(rejected.stats.warm_start_fallbacks, 4u);
+  EXPECT_EQ(rejected.pricing_codes,
+            std::vector<ObsCode>(5, ObsCode::kColdStart));
 }
 
 // --------------------------------------------------------- fleet replay
