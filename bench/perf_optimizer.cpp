@@ -10,66 +10,28 @@
 
 #include <vector>
 
+#include "core/controller.h"
+#include "core/guard.h"
+#include "core/planner.h"
+#include "core/snapshot_source.h"
 #include "estimation/loss_estimator.h"
 #include "model/conflict_graph.h"
 #include "model/feasibility.h"
+#include "obs/obs.h"
+#include "opt/column_gen.h"
+#include "opt/decompose.h"
 #include "opt/network_optimizer.h"
 #include "phy/channel.h"
-#include "sim/simulator.h"
-#include "sweep/sweep_runner.h"
-#include "util/rng.h"
-
-// This file doubles as the seed-vs-now measurement harness: it is copied
-// into a scratch worktree of the previous commit to produce the "before"
-// numbers in BENCH_core.json. Benchmarks that exercise APIs new in this
-// tree are therefore gated on the presence of util/dense_matrix.h and
-// sweep/controller_fleet.h.
-#if __has_include("util/dense_matrix.h")
-#define MESHOPT_BENCH_HAS_DENSE 1
-#endif
-#if __has_include("sweep/controller_fleet.h")
-#define MESHOPT_BENCH_HAS_FLEET 1
-#include "sweep/controller_fleet.h"
-#endif
-#if __has_include("util/trace_codec.h")
-#define MESHOPT_BENCH_HAS_TRACE 1
-#include "core/snapshot_source.h"
 #include "probe/live_source.h"
-#include "util/trace_codec.h"
-#endif
-#if __has_include("core/planner.h")
-#define MESHOPT_BENCH_HAS_PLANNER 1
-#include "core/planner.h"
-#endif
-#if __has_include("opt/column_gen.h")
-#define MESHOPT_BENCH_HAS_COLGEN 1
-#include "opt/column_gen.h"
-#endif
-#if __has_include("scenario/dynamics.h")
-#define MESHOPT_BENCH_HAS_DYNAMICS 1
 #include "scenario/dynamics.h"
 #include "scenario/topologies.h"
-#endif
-#if __has_include("core/guard.h")
-#define MESHOPT_BENCH_HAS_GUARD 1
-#include "core/guard.h"
-#endif
-#if __has_include("serve/plan_service.h")
-#define MESHOPT_BENCH_HAS_SERVE 1
-#include "serve/plan_service.h"
-#endif
-#if __has_include("obs/obs.h")
-#define MESHOPT_BENCH_HAS_OBS 1
-#include "obs/obs.h"
-#endif
-
-#if __has_include("opt/decompose.h")
-#define MESHOPT_BENCH_HAS_DECOMPOSE 1
-#include "opt/decompose.h"
-#endif
-
-#include "core/controller.h"
 #include "scenario/workbench.h"
+#include "serve/plan_service.h"
+#include "sim/simulator.h"
+#include "sweep/controller_fleet.h"
+#include "sweep/sweep_runner.h"
+#include "util/rng.h"
+#include "util/trace_codec.h"
 
 namespace meshopt {
 namespace {
@@ -230,7 +192,6 @@ void BM_ExtremePoints(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtremePoints)->Arg(12)->Arg(24)->Arg(40);
 
-#ifdef MESHOPT_BENCH_HAS_DENSE
 // Bitset bridge: MIS rows stream straight into the K x L DenseMatrix,
 // no per-set vector<int> / per-point vector<double> materialization.
 void BM_ExtremePointMatrix(benchmark::State& state) {
@@ -243,14 +204,12 @@ void BM_ExtremePointMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtremePointMatrix)->Arg(12)->Arg(24)->Arg(40)->Arg(80);
-#endif
 
 // ------------------------------------------------------------------- LP
 // The paper's utility LP over K extreme points (Section 6.1), built with
-// the portable LpProblem API so the identical code measures the seed
-// tableau and the flat rewrite. Shape matches NetworkOptimizer's base
-// problem: L <= rows coupling flows to extreme points, one convex-weight
-// equality, capacities normalized to ~1.
+// the LpProblem API. Shape matches NetworkOptimizer's base problem: L <=
+// rows coupling flows to extreme points, one convex-weight equality,
+// capacities normalized to ~1.
 LpProblem rate_region_lp(int links, int flows, int points,
                          std::uint64_t seed) {
   RngStream rng(seed, "bench-lpK");
@@ -321,7 +280,6 @@ OptimizerInput testbed_scale_problem(int links, int flows, std::uint64_t seed) {
   const ConflictGraph g = random_conflicts(links, 0.5, seed);
   std::vector<double> caps;
   for (int l = 0; l < links; ++l) caps.push_back(rng.uniform(0.3e6, 5e6));
-#ifdef MESHOPT_BENCH_HAS_DENSE
   in.extreme_points = build_extreme_point_matrix(caps, g);
   in.routing = DenseMatrix(links, flows);
   for (int f = 0; f < flows; ++f) {
@@ -330,17 +288,6 @@ OptimizerInput testbed_scale_problem(int links, int flows, std::uint64_t seed) {
     for (int h = 0; h < hops; ++h)
       in.routing(rng.uniform_int(0, links - 1), f) = 1.0;
   }
-#else
-  in.extreme_points = build_extreme_points(caps, g);
-  in.routing.assign(static_cast<std::size_t>(links),
-                    std::vector<double>(static_cast<std::size_t>(flows), 0.0));
-  for (int f = 0; f < flows; ++f) {
-    const int hops = rng.uniform_int(1, 4);
-    for (int h = 0; h < hops; ++h)
-      in.routing[static_cast<std::size_t>(
-          rng.uniform_int(0, links - 1))][static_cast<std::size_t>(f)] = 1.0;
-  }
-#endif
   return in;
 }
 
@@ -393,24 +340,10 @@ void BM_SweepRepeatedTinySweeps(benchmark::State& state) {
 BENCHMARK(BM_SweepRepeatedTinySweeps)->Arg(8)->Arg(64);
 
 // ------------------------------------------------------------- control
-// The 4-node gateway scenario shared by BM_ControllerRound and
-// BM_TraceReplayRound — one definition, so the replay-vs-live comparison
-// is structurally over the same topology, flows, and controller tuning.
-// Kept local (mirroring scenario/topologies.h build_gateway_chain) so the
-// file still compiles when copied into a previous-commit worktree for
-// before-side measurements.
-void build_bench_gateway(Workbench& wb) {
-  wb.add_nodes(4);
-  Channel& ch = wb.channel();
-  for (NodeId a = 0; a < 4; ++a)
-    for (NodeId b = 0; b < 4; ++b)
-      if (a != b) ch.set_rss_dbm(a, b, -120.0);
-  ch.set_rss_symmetric_dbm(0, 1, -58.0);
-  ch.set_rss_symmetric_dbm(1, 2, -58.0);
-  ch.set_rss_symmetric_dbm(3, 2, -56.0);
-  ch.set_rss_symmetric_dbm(1, 3, -70.0);
-}
-
+// The 4-node gateway scenario (build_gateway_chain) shared by
+// BM_ControllerRound and BM_TraceReplayRound — one definition, so the
+// replay-vs-live comparison is structurally over the same topology, flows,
+// and controller tuning.
 ControllerConfig bench_gateway_config() {
   ControllerConfig cfg;
   cfg.probe_period_s = 0.25;
@@ -436,7 +369,7 @@ void add_bench_gateway_flows(Workbench& wb, MeshController& ctl) {
 // shaper programming. The paper's online cadence, end to end.
 void BM_ControllerRound(benchmark::State& state) {
   Workbench wb(71);
-  build_bench_gateway(wb);
+  build_gateway_chain(wb);
   MeshController ctl(wb.net(), bench_gateway_config(), 71);
   add_bench_gateway_flows(wb, ctl);
 
@@ -447,14 +380,13 @@ void BM_ControllerRound(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerRound);
 
-#ifdef MESHOPT_BENCH_HAS_OBS
 // The same round with a TraceRecorder attached at its default sampling:
 // every stage span, cache event, and health event lands in the ring.
 // Against BM_ControllerRound (same build, observer detached) this is the
 // tracing plane's enabled overhead — the acceptance bar is <= 1.03x.
 void BM_ControllerRoundTraced(benchmark::State& state) {
   Workbench wb(71);
-  build_bench_gateway(wb);
+  build_gateway_chain(wb);
   MeshController ctl(wb.net(), bench_gateway_config(), 71);
   add_bench_gateway_flows(wb, ctl);
   TraceRecorder obs;
@@ -467,9 +399,7 @@ void BM_ControllerRoundTraced(benchmark::State& state) {
   state.counters["records"] = static_cast<double>(obs.records_emitted());
 }
 BENCHMARK(BM_ControllerRoundTraced);
-#endif
 
-#if defined(MESHOPT_BENCH_HAS_GUARD) && defined(MESHOPT_BENCH_HAS_TRACE)
 // The same full round through the guarded control loop on clean inputs:
 // snapshot validation, plan guardrails, and the health state machine ride
 // along on every window. Against BM_ControllerRound this is the guard
@@ -478,7 +408,7 @@ BENCHMARK(BM_ControllerRoundTraced);
 // optimizer.
 void BM_GuardedRound(benchmark::State& state) {
   Workbench wb(71);
-  build_bench_gateway(wb);
+  build_gateway_chain(wb);
   MeshController ctl(wb.net(), bench_gateway_config(), 71);
   add_bench_gateway_flows(wb, ctl);
   ctl.set_guard(GuardConfig{});
@@ -490,9 +420,7 @@ void BM_GuardedRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GuardedRound);
-#endif
 
-#ifdef MESHOPT_BENCH_HAS_TRACE
 // Trace replay: the same gateway scenario as BM_ControllerRound, but the
 // probing windows were recorded once up front (outside the timed loop)
 // and each planned round is pure snapshot -> model -> plan work through
@@ -504,7 +432,7 @@ void BM_TraceReplayRound(benchmark::State& state) {
   // shared gateway helpers above keep the two benches structurally on
   // the same topology, flows, and tuning).
   Workbench wb(71);
-  build_bench_gateway(wb);
+  build_gateway_chain(wb);
   const ControllerConfig cfg = bench_gateway_config();
   MeshController ctl(wb.net(), cfg, 71);
   add_bench_gateway_flows(wb, ctl);
@@ -532,9 +460,7 @@ void BM_TraceReplayRound(benchmark::State& state) {
   state.SetItemsProcessed(rounds);
 }
 BENCHMARK(BM_TraceReplayRound);
-#endif
 
-#ifdef MESHOPT_BENCH_HAS_FLEET
 // Fleet driver: 8 independent controller loops (gateway variants ×
 // objectives) per iteration, on 1 worker vs 4. Results are bit-identical
 // across thread counts; only wall clock changes.
@@ -574,9 +500,7 @@ void BM_FleetSweep(benchmark::State& state) {
                           static_cast<std::int64_t>(cells.size()));
 }
 BENCHMARK(BM_FleetSweep)->Arg(1)->Arg(4);
-#endif
 
-#ifdef MESHOPT_BENCH_HAS_PLANNER
 // Planner model cache on a constant-topology replay: a 16-round trace at
 // MIS/80-class scale (80 links, LIR density 0.5, K ~ 5.5k extreme points)
 // whose capacities drift every round while the topology holds. Arg(0)
@@ -637,7 +561,6 @@ void BM_ReplayCachedModel(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayCachedModel)->Arg(0)->Arg(1);
 
-#ifdef MESHOPT_BENCH_HAS_COLGEN
 // Plan tiers on the same MIS/80-class replay, now timing whole planned
 // rounds (model + plan, proportional fair). Arg(0) is the exact tier:
 // the LP over all K ~ 5.5k extreme-point columns dominates. Arg(1) is
@@ -677,10 +600,7 @@ void BM_ReplayColumnGen(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayColumnGen)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
-#endif
 
-#if defined(MESHOPT_BENCH_HAS_DECOMPOSE) && \
-    defined(MESHOPT_BENCH_HAS_FLEET) && defined(MESHOPT_BENCH_HAS_DYNAMICS)
 // City-scale replay through the fleet: a 203-link city (4 gateway-cluster
 // cliques of 50 + 3 RF-silent bridges, 7 conflict components), planned
 // max-throughput on the fast tier over a 3-round trace — an initial model
@@ -739,10 +659,7 @@ void BM_ReplayDecomposed(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayDecomposed)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
-#endif
-#endif
 
-#ifdef MESHOPT_BENCH_HAS_DYNAMICS
 // A full controller round while a dynamics script is live: the gateway
 // scenario with a hidden interferer duty-cycling at the receiver and
 // random-walk loss drift on the chain's first hop. Compares against
@@ -750,7 +667,7 @@ BENCHMARK(BM_ReplayDecomposed)->Arg(0)->Arg(1)
 // adds to the probing-window simulation.
 void BM_DynamicsRound(benchmark::State& state) {
   Workbench wb(73);
-  build_bench_gateway(wb);
+  build_gateway_chain(wb);
   const NodeId jam = wb.channel().add_node(nullptr);
   wb.channel().set_rss_dbm(jam, 2, -62.0);
   MeshController ctl(wb.net(), bench_gateway_config(), 73);
@@ -773,9 +690,7 @@ void BM_DynamicsRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DynamicsRound);
-#endif
 
-#ifdef MESHOPT_BENCH_HAS_SERVE
 // Multi-tenant serving throughput. Every tenant is a registered session
 // of one PlanService (own Planner cache, own round sequence); each
 // iteration submits one fresh snapshot per tenant and serves the whole
@@ -849,7 +764,6 @@ void BM_ServeBatch(benchmark::State& state) {
 BENCHMARK(BM_ServeBatch)->Arg(64)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-#ifdef MESHOPT_BENCH_HAS_OBS
 // BM_ServeBatch with the service observed: per-tenant serve spans land in
 // session-local recorders that run_batch absorbs in batch order. Against
 // BM_ServeBatch (observer detached) this is the serving plane's tracing
@@ -883,7 +797,6 @@ void BM_ServeBatchTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeBatchTraced)->Arg(64)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
-#endif
 
 // The per-plan cost floor for the comparison above: the same snapshots,
 // flows, and tier through a bare warm Planner — no service, no queues,
@@ -907,7 +820,6 @@ void BM_ServeBarePlanner(benchmark::State& state) {
   state.SetItemsProcessed(plans);
 }
 BENCHMARK(BM_ServeBarePlanner);
-#endif
 
 void BM_ChannelLossEstimator(benchmark::State& state) {
   const int s = static_cast<int>(state.range(0));

@@ -537,7 +537,10 @@ MeasurementSnapshot chain_snapshot() {
   return snap;
 }
 
+/// The serving claim's scale: 2000 tenants, three rounds each, mixing
+/// exact/fast and guarded/unguarded sessions.
 TEST(ServeTrace, BitIdenticalAcrossPoolThreads) {
+  constexpr std::uint32_t kTenants = 2000;
   std::vector<FlowSpec> flows(2);
   flows[0].flow_id = 0;
   flows[0].path = {0, 1, 2};
@@ -545,14 +548,14 @@ TEST(ServeTrace, BitIdenticalAcrossPoolThreads) {
   flows[1].path = {3, 2};
   const std::vector<MeasurementSnapshot> pool = {chain_snapshot()};
   const ServeScript script = staggered_replay_script(
-      /*tenants=*/4, /*rounds_per_tenant=*/3, /*pool_rounds=*/1,
+      kTenants, /*rounds_per_tenant=*/3, /*pool_rounds=*/1,
       /*ticks_per_round=*/2, /*seed=*/42);
 
   auto run = [&](int threads, TraceRecorder& obs) {
     ServeConfig cfg;
     cfg.threads = threads;
     PlanService svc(cfg);
-    for (std::uint32_t t = 0; t < 4; ++t) {
+    for (std::uint32_t t = 0; t < kTenants; ++t) {
       TenantConfig tc;
       tc.flows = flows;
       tc.plan.tier = t % 2 == 0 ? PlanTier::kExact : PlanTier::kFast;
@@ -562,14 +565,19 @@ TEST(ServeTrace, BitIdenticalAcrossPoolThreads) {
     svc.set_observer(&obs);
     return svc.run_script(script, pool);
   };
-  TraceRecorder obs1, obs4;
+  // A ring large enough that no record is overwritten.
+  ObsConfig big;
+  big.ring_capacity = 1 << 17;
+  TraceRecorder obs1(big), obs4(big);
   const ServeReport r1 = run(1, obs1);
   const ServeReport r4 = run(4, obs4);
+  EXPECT_EQ(r1.served.size(), 3u * kTenants);
   EXPECT_EQ(r1.served, r4.served);
 
   const std::vector<ObsRecord> a = obs1.canonical_records(false);
   const std::vector<ObsRecord> b = obs4.canonical_records(false);
   ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a.size(), obs1.records_emitted());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_TRUE(deterministic_equal(a[i], b[i])) << "record " << i;

@@ -1,17 +1,21 @@
 // Work-count budget (ctest -L perf-budget).
 //
-// Pins deterministic work counts — simplex pivots and master solves — on
-// fixed seeds. Wall times on a shared host swing between runs of the same
-// binary; these counts do not, so a change that makes the optimizer do
-// more work fails here deterministically. The pinned values were recorded
-// with the dense pivot kernel; the sparse elimination reproduces every
-// pivot, so it must match them exactly (cheaper pivots, not fewer).
+// Pins deterministic work counts — simplex pivots, master solves, pricing
+// rounds, MWIS nodes and Frank–Wolfe iterations — on fixed seeds. Wall
+// times on a shared host swing between runs of the same binary; these
+// counts do not, so a change that makes the optimizer do more work fails
+// here deterministically. The pinned values were recorded with the dense
+// pivot kernel; the sparse elimination reproduces every pivot, so it must
+// match them exactly (cheaper pivots, not fewer). Nor do they depend on
+// the library's vector width: the serve-shaped pins hold with and without
+// the 128-bit cap (MESHOPT_NATIVE_OPT).
 
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/planner.h"
 #include "core/snapshot.h"
 #include "model/conflict_graph.h"
 #include "model/feasibility.h"
@@ -84,6 +88,53 @@ TEST(PerfBudget, ExactTierProportionalFairSolve) {
   NetworkOptimizer opt(cfg);
   ASSERT_TRUE(opt.solve(in).ok);
   EXPECT_EQ(opt.pivots(), 338u);
+}
+
+/// A serve_2000-shaped tenant: 11 chain links whose LIR table marks about
+/// 40% of the pairs as conflicting, three flows, proportional fairness on
+/// the fast tier. The seed gives 11-15 Frank-Wolfe iterations a round, so
+/// the line search and about 20 MWIS pricing calls per plan run.
+TEST(PerfBudget, ServeShapedFastTierDriftRounds) {
+  constexpr int kLinks = 11;
+  RngStream topo(4, "perf-budget-serve");
+  MeasurementSnapshot snap;
+  for (int i = 0; i < kLinks; ++i) {
+    SnapshotLink l;
+    l.src = i;
+    l.dst = i + 1;
+    l.rate = Rate::kR11Mbps;
+    l.estimate.capacity_bps = topo.uniform(1.5e6, 5e6);
+    l.estimate.p_link = 0.02;
+    snap.links.push_back(l);
+  }
+  snap.lir.resize(kLinks, kLinks, 1.0);
+  for (int i = 0; i < kLinks; ++i)
+    for (int j = i + 1; j < kLinks; ++j)
+      if (topo.bernoulli(0.4)) snap.lir(i, j) = snap.lir(j, i) = 0.4;
+  snap.lir_threshold = 0.95;
+  const std::vector<FlowSpec> flows = {
+      {0, {0, 1, 2, 3}, false}, {1, {3, 4, 5}, false}, {2, {6, 7, 8}, false}};
+
+  PlanConfig cfg;
+  cfg.optimizer.objective = Objective::kProportionalFair;
+  cfg.tier = PlanTier::kFast;
+  Planner planner;
+  RngStream drift(2, "perf-budget-serve-drift");
+  std::vector<int> fw_iterations;
+  for (int round = 0; round < 4; ++round) {
+    for (SnapshotLink& l : snap.links)
+      l.estimate.capacity_bps *= drift.uniform(0.9, 1.1);
+    const RatePlan plan =
+        planner.plan(snap, InterferenceModelKind::kLirTable, flows, cfg);
+    ASSERT_TRUE(plan.ok) << "round " << round;
+    fw_iterations.push_back(plan.optimizer_iterations);
+  }
+  const ColumnGenStats& st = planner.last_entry_column_gen()->stats();
+  EXPECT_EQ(st.pricing_rounds, 77u);
+  EXPECT_EQ(st.oracle_nodes, 367u);
+  EXPECT_EQ(st.pivots, 385u);
+  EXPECT_EQ(st.master_solves, 77u);
+  EXPECT_EQ(fw_iterations, (std::vector<int>{15, 14, 11, 12}));
 }
 
 }  // namespace
