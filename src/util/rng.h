@@ -6,6 +6,7 @@
 // bit-for-bit regardless of the order in which components are constructed
 // or how many draws other components make.
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -26,7 +27,23 @@ class RngStream {
       : engine_(mix(master_seed, hash(label))) {}
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() { return unit_(engine_); }
+  ///
+  /// The value libstdc++'s std::uniform_real_distribution<double>{0, 1}
+  /// (std::generate_canonical<double, 53>) draws from the same engine,
+  /// bit for bit: one draw scaled by 2^-64 and kept below 1. The draw is
+  /// converted as two 32-bit halves, each exact as a double, so the one
+  /// rounding of their sum equals a direct uint64 -> double conversion.
+  /// That direct conversion compiles, for the default x86-64 target, to a
+  /// branch on the draw's top bit, which a random draw mispredicts half
+  /// the time; the simulator's channel draws several per frame.
+  [[nodiscard]] double uniform() {
+    const std::uint64_t x = engine_();
+    const double v =
+        static_cast<double>(static_cast<std::uint32_t>(x >> 32)) * 0x1p32 +
+        static_cast<double>(static_cast<std::uint32_t>(x));
+    const double r = v * 0x1p-64;
+    return r < 1.0 ? r : std::nextafter(1.0, 0.0);
+  }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) {
@@ -45,14 +62,25 @@ class RngStream {
     return uniform() < p;
   }
 
-  /// Exponential variate with the given mean.
+  /// Exponential variate with the given mean (libstdc++'s
+  /// std::exponential_distribution<double>(1 / mean), bit for bit).
   [[nodiscard]] double exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+    return -std::log(1.0 - uniform()) / (1.0 / mean);
   }
 
-  /// Normal variate.
+  /// Normal variate: Marsaglia's polar method, as libstdc++'s
+  /// std::normal_distribution<double>(mean, stddev) draws it from a fresh
+  /// distribution object (the pair's second variate is dropped), bit for
+  /// bit.
   [[nodiscard]] double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    double x, y, r2;
+    do {
+      x = 2.0 * uniform() - 1.0;
+      y = 2.0 * uniform() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2 * std::log(r2) / r2);
+    return y * mult * stddev + mean;
   }
 
   /// Raw 64-bit draw (for deriving further seeds).
@@ -78,7 +106,6 @@ class RngStream {
 
  private:
   std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
 };
 
 }  // namespace meshopt

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include "scenario/testbed.h"
 #include "scenario/workbench.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace meshopt {
 namespace {
@@ -62,6 +66,33 @@ RunFingerprint run_scenario(std::uint64_t seed) {
   for (NodeId n = 0; n < 4; ++n) fp.mac.push_back(wb.net().node(n).mac().stats());
   return fp;
 }
+
+#ifdef __GLIBCXX__
+// RngStream computes its variates itself (no branch on the draw's top
+// bit); every recorded fixture was drawn through libstdc++'s
+// distributions, so the two must agree bit for bit on the same engine.
+TEST(Determinism, RngStreamMatchesStdDistributions) {
+  auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  RngStream ours(20240917);
+  std::mt19937_64 engine(20240917);
+  std::uniform_real_distribution<double> unit{0.0, 1.0};
+  for (int i = 0; i < 200000; ++i) {
+    ASSERT_EQ(bits(ours.uniform()), bits(unit(engine))) << i;
+    ASSERT_EQ(bits(ours.normal(-71.5, 4.0)),
+              bits(std::normal_distribution<double>(-71.5, 4.0)(engine)))
+        << i;
+    ASSERT_EQ(bits(ours.exponential(3.7)),
+              bits(std::exponential_distribution<double>(1.0 / 3.7)(engine)))
+        << i;
+    ASSERT_EQ(bits(ours.uniform(2.0, 9.0)), bits(2.0 + 7.0 * unit(engine)))
+        << i;
+  }
+}
+#endif
 
 TEST(Determinism, IdenticalSeedsBitIdenticalRuns) {
   const RunFingerprint a = run_scenario(42);

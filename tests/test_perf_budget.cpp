@@ -7,8 +7,8 @@
 // here deterministically. The pinned values were recorded with the dense
 // pivot kernel; the sparse elimination reproduces every pivot, so it must
 // match them exactly (cheaper pivots, not fewer). Nor do they depend on
-// the library's vector width: the serve-shaped pins hold with and without
-// the 128-bit cap (MESHOPT_NATIVE_OPT).
+// the library's vector width: the serve-shaped pins hold for the default
+// x86-64 target, -march=native, and -march=native capped at 128 bits.
 
 #include <cstdint>
 #include <vector>

@@ -11,7 +11,7 @@
 //
 // The golden fixture (tests/data/plan_tiers_golden.json) freezes fast-tier
 // objective values at 17 significant digits; compared at 1e-9 relative
-// tolerance to absorb cross-arch -march=native drift. Regenerate with
+// tolerance to absorb cross-arch drift. Regenerate with
 //   MESHOPT_REGEN_GOLDEN=1 ./test_plan_tiers
 
 #include <cmath>

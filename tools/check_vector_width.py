@@ -5,10 +5,11 @@ Usage: check_vector_width.py OBJDUMP LIBRARY
 
 Disassembles LIBRARY with ``OBJDUMP -d -C`` and lists every function with
 an instruction that names a ``%ymm`` or ``%zmm`` register. The library is
-built with its vectors capped at 128 bits (CMakeLists.txt,
-MESHOPT_NATIVE_OPT): once a wide instruction leaves the upper register
-state dirty without a ``vzeroupper``, every later SSE-encoded libm call
-(the Frank-Wolfe line search's log/pow) pays the AVX->SSE transition.
+built for the compiler's default target, which on x86-64 has no wider
+vectors (CMakeLists.txt): once a wide instruction leaves the upper
+register state dirty without a ``vzeroupper``, every later SSE-encoded
+libm call (the Frank-Wolfe line search's log/pow) pays the AVX->SSE
+transition. A ``-march=native`` in CMAKE_CXX_FLAGS brings them back.
 This check makes that class of slowdown a deterministic failure instead
 of a wall-clock drift.
 
