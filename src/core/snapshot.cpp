@@ -179,7 +179,9 @@ MeasurementSnapshot MeasurementSnapshot::from_value(const JsonValue& doc) {
     throw std::invalid_argument("snapshot: unsupported schema version");
 
   MeasurementSnapshot snap;
-  for (const JsonValue& jl : doc.at("links").items()) {
+  const std::vector<JsonValue>& jlinks = doc.at("links").items();
+  snap.links.reserve(jlinks.size());
+  for (const JsonValue& jl : jlinks) {
     SnapshotLink l;
     l.src = jl.at("src").as_int();
     l.dst = jl.at("dst").as_int();
@@ -191,7 +193,9 @@ MeasurementSnapshot MeasurementSnapshot::from_value(const JsonValue& doc) {
     l.estimate.capacity_bps = jl.at("capacity_bps").as_number();
     snap.links.push_back(l);
   }
-  for (const JsonValue& jp : doc.at("neighbors").items()) {
+  const std::vector<JsonValue>& jneighbors = doc.at("neighbors").items();
+  snap.neighbors.reserve(jneighbors.size());
+  for (const JsonValue& jp : jneighbors) {
     const auto& pair = jp.items();
     if (pair.size() != 2)
       throw std::invalid_argument("snapshot: neighbor pair arity");

@@ -1,7 +1,6 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -49,12 +48,6 @@ void append_ts(std::string& out, double v) {
   out += buf;
 }
 
-void append_hex(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "\"0x%016" PRIx64 "\"", v);
-  out += buf;
-}
-
 struct TraceEvent {
   double ts = 0.0;
   double dur = 0.0;
@@ -64,13 +57,15 @@ struct TraceEvent {
 };
 
 void append_metric_double(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "NaN";
+    return;
+  }
   if (std::isinf(v)) {
     out += v > 0 ? "+Inf" : "-Inf";
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
+  json_append_double(out, v);
 }
 
 }  // namespace
@@ -158,9 +153,9 @@ std::string chrome_trace_json(const std::vector<ObsRecord>& records,
     out += ",\"code\":";
     json_append_string(out, to_string(r.code));
     out += ",\"a\":";
-    append_hex(out, r.a);
+    json_append_hex(out, r.a);
     out += ",\"b\":";
-    append_hex(out, r.b);
+    json_append_hex(out, r.b);
     out += "}}";
   }
   out += "],\"displayTimeUnit\":\"ms\"}";

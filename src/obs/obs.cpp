@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 
 #include "util/json.h"
 
@@ -76,12 +74,6 @@ bool canonical_less(const ObsRecord& x, const ObsRecord& y) {
   return x.seq < y.seq;
 }
 
-void append_hex(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "\"0x%016" PRIx64 "\"", v);
-  out += buf;
-}
-
 void append_record_json(std::string& out, const ObsRecord& r) {
   out += "{\"round\":";
   json_append_int(out, static_cast<long long>(r.round));
@@ -96,9 +88,9 @@ void append_record_json(std::string& out, const ObsRecord& r) {
   out += ",\"code\":";
   json_append_string(out, to_string(r.code));
   out += ",\"a\":";
-  append_hex(out, r.a);
+  json_append_hex(out, r.a);
   out += ",\"b\":";
-  append_hex(out, r.b);
+  json_append_hex(out, r.b);
   out += ",\"wall_ns\":";
   json_append_int(out, static_cast<long long>(r.wall_ns));
   out += ",\"wall_dur_ns\":";

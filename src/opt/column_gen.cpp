@@ -16,62 +16,72 @@ namespace {
 /// visited in a static order (weight descending, index ascending) so
 /// heavy vertices are decided first; the bound is the greedy sum of all
 /// remaining candidate weights. Only positive-weight vertices ever enter
-/// the candidate set, so every inclusion strictly improves the incumbent.
+/// the candidate set, so every inclusion strictly improves the incumbent,
+/// and `order` lists only those vertices.
 struct MwisSearch {
   const ConflictGraph* g = nullptr;
   const double* w = nullptr;
-  int n = 0;
+  int n = 0;  ///< entries of `order`: the positive-weight vertices
   int words = 0;
   const int* order = nullptr;
   std::uint64_t node_cap = 0;
   std::uint64_t nodes = 0;
   bool truncated = false;
   double best_w = 0.0;
-  std::vector<std::uint64_t> cur;
-  std::vector<std::uint64_t> best;
+  /// Candidate set of each search depth, `words` words apiece: depth d
+  /// reads slice d and builds its children's sets in slice d + 1.
+  std::uint64_t* cand = nullptr;
+  std::uint64_t* cur = nullptr;
+  std::uint64_t* best = nullptr;
 
-  void search(std::vector<std::uint64_t>& cand, double cur_w, int from) {
+  void search(int depth, double cur_w, int from) {
     if (truncated) return;
     if (++nodes > node_cap) {
       truncated = true;
       return;
     }
+    std::uint64_t* const c = cand + static_cast<std::size_t>(depth) * words;
     double bound = cur_w;
     for (int wd = 0; wd < words; ++wd) {
-      std::uint64_t m = cand[static_cast<std::size_t>(wd)];
+      std::uint64_t m = c[wd];
       while (m != 0) {
         bound += w[wd * 64 + std::countr_zero(m)];
         m &= m - 1;
       }
     }
     if (bound <= best_w + 1e-15) return;
-    std::vector<std::uint64_t> sub(static_cast<std::size_t>(words));
+    std::uint64_t* const sub = c + words;
     for (int oi = from; oi < n; ++oi) {
       const int v = order[oi];
       const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-      if ((cand[static_cast<std::size_t>(v >> 6)] & bit) == 0) continue;
+      if ((c[v >> 6] & bit) == 0) continue;
       // Include v: candidates shrink to v's non-neighbors.
-      cur[static_cast<std::size_t>(v >> 6)] |= bit;
+      cur[v >> 6] |= bit;
       const double nw = cur_w + w[v];
       if (nw > best_w) {
         best_w = nw;
-        best = cur;
+        std::copy(cur, cur + words, best);
       }
       const std::uint64_t* adj = g->row(v);
-      for (int wd = 0; wd < words; ++wd)
-        sub[static_cast<std::size_t>(wd)] =
-            cand[static_cast<std::size_t>(wd)] &
-            ~adj[static_cast<std::size_t>(wd)];
-      sub[static_cast<std::size_t>(v >> 6)] &= ~bit;
-      search(sub, nw, oi + 1);
-      cur[static_cast<std::size_t>(v >> 6)] &= ~bit;
+      for (int wd = 0; wd < words; ++wd) sub[wd] = c[wd] & ~adj[wd];
+      sub[v >> 6] &= ~bit;
+      search(depth + 1, nw, oi + 1);
+      cur[v >> 6] &= ~bit;
       if (truncated) return;
       // Exclude v and keep scanning; the bound tightens by w[v].
-      cand[static_cast<std::size_t>(v >> 6)] &= ~bit;
+      c[v >> 6] &= ~bit;
       bound -= w[v];
       if (bound <= best_w + 1e-15) return;
     }
   }
+};
+
+/// The search's buffers, kept per thread so a warm pricing call (same or
+/// smaller graph) allocates nothing.
+struct MwisScratch {
+  std::vector<int> order;
+  std::vector<std::uint64_t> cand;
+  std::vector<std::uint64_t> cur;
 };
 
 }  // namespace
@@ -91,33 +101,38 @@ double max_weight_independent_set(const ConflictGraph& graph,
   if (static_cast<int>(weights.size()) != n)
     throw std::invalid_argument("MWIS weights size != graph size");
 
-  MwisSearch s;
-  s.g = &graph;
-  s.w = weights.data();
-  s.n = n;
-  s.words = words;
-  s.node_cap = node_cap;
-  s.cur.assign(static_cast<std::size_t>(words), 0);
-  s.best.assign(static_cast<std::size_t>(words), 0);
-
-  std::vector<int> order(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
+  thread_local MwisScratch scratch;
+  std::vector<int>& order = scratch.order;
+  order.clear();
+  for (int v = 0; v < n; ++v)
+    if (weights[static_cast<std::size_t>(v)] > 0.0) order.push_back(v);
   std::sort(order.begin(), order.end(), [&weights](int a, int b) {
     const double wa = weights[static_cast<std::size_t>(a)];
     const double wb = weights[static_cast<std::size_t>(b)];
     if (wa != wb) return wa > wb;
     return a < b;
   });
+  // Depth d holds d included vertices and builds slice d + 1 only while a
+  // candidate remains, so no depth past order.size() is ever written.
+  const std::size_t slice = static_cast<std::size_t>(words);
+  scratch.cand.assign((order.size() + 1) * slice, 0);
+  scratch.cur.assign(slice, 0);
+  for (const int v : order)
+    scratch.cand[static_cast<std::size_t>(v >> 6)] |= std::uint64_t{1}
+                                                      << (v & 63);
+
+  MwisSearch s;
+  s.g = &graph;
+  s.w = weights.data();
+  s.n = static_cast<int>(order.size());
+  s.words = words;
   s.order = order.data();
+  s.node_cap = node_cap;
+  s.cand = scratch.cand.data();
+  s.cur = scratch.cur.data();
+  s.best = bits.data();
+  s.search(0, 0.0, 0);
 
-  std::vector<std::uint64_t> cand(static_cast<std::size_t>(words), 0);
-  for (int v = 0; v < n; ++v) {
-    if (weights[static_cast<std::size_t>(v)] > 0.0)
-      cand[static_cast<std::size_t>(v >> 6)] |= std::uint64_t{1} << (v & 63);
-  }
-  s.search(cand, 0.0, 0);
-
-  bits = s.best;
   if (nodes_visited != nullptr) *nodes_visited = s.nodes;
   if (truncated != nullptr) *truncated = s.truncated;
   return s.best_w;

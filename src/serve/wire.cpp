@@ -106,10 +106,10 @@ std::vector<double> parse_rate_array(const JsonValue& doc, const char* key) {
   return out;
 }
 
-}  // namespace
-
-std::string rate_plan_to_json(const RatePlan& plan) {
-  std::string out = "{";
+/// rate_plan_to_json's document, appended to `out` (a response frame
+/// writes it straight after its header).
+void append_rate_plan_json(std::string& out, const RatePlan& plan) {
+  out.push_back('{');
   json_append_string(out, "ok");
   out += plan.ok ? ":true," : ":false,";
   json_append_string(out, "tier");
@@ -132,6 +132,13 @@ std::string rate_plan_to_json(const RatePlan& plan) {
     out.push_back('}');
   }
   out += "]}";
+}
+
+}  // namespace
+
+std::string rate_plan_to_json(const RatePlan& plan) {
+  std::string out;
+  append_rate_plan_json(out, plan);
   return out;
 }
 
@@ -177,7 +184,7 @@ void wire_append_plan(std::string& out, std::uint32_t tenant,
   const std::size_t len_at = append_header(out, WireKind::kPlan,
                                            WireFormat::kJson, tenant,
                                            round_seq);
-  out += rate_plan_to_json(plan);
+  append_rate_plan_json(out, plan);
   patch_length(out, len_at);
 }
 

@@ -14,11 +14,13 @@
 //
 // (all integers little-endian, 24-byte header). kSubmit carries a
 // snapshot payload in the declared format; kPlan carries a RatePlan JSON
-// document (rate_plan_to_json, %.17g doubles, so plans round-trip
-// bit-exactly like snapshots do); kReject carries the shed reason as a
-// plain string. The framing is transport-agnostic value machinery —
-// encode into any byte sink, decode from any byte stream; there are no
-// sockets here. wire_decode_frame() is incremental: a short buffer
+// document (rate_plan_to_json; util/json writes doubles with 17
+// significant digits through std::to_chars, byte-equal to printf's
+// "%.17g", and reads them back through std::from_chars, so plans
+// round-trip bit-exactly like snapshots do); kReject carries the shed
+// reason as a plain string. The framing is transport-agnostic value
+// machinery — encode into any byte sink, decode from any byte stream;
+// there are no sockets here. wire_decode_frame() is incremental: a short buffer
 // returns 0 consumed (wait for more bytes), a malformed one throws, so a
 // reader can pump a partial stream without guessing frame boundaries.
 

@@ -1,9 +1,10 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <climits>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 
 namespace meshopt {
@@ -12,6 +13,20 @@ namespace {
 
 [[noreturn]] void fail(const char* what) {
   throw std::invalid_argument(std::string("json: ") + what);
+}
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/// strtod over a whole number token, for the tokens from_chars does not
+/// take: out-of-range values, which strtod rounds (1e999 to inf, 1e-400
+/// to 0), and malformed ones, which it leaves partly unread.
+double strtod_token(std::string_view tok) {
+  // strtod needs NUL termination; numbers are short, copy locally.
+  const std::string s(tok);
+  char* end = nullptr;
+  const double d = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size()) fail("malformed number");
+  return d;
 }
 
 }  // namespace
@@ -72,6 +87,8 @@ class JsonParser {
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue run() {
+    items_.clear();
+    members_.clear();
     JsonValue v = value();
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters");
@@ -156,18 +173,20 @@ class JsonParser {
       ++pos_;
       return v;
     }
+    const std::size_t mark = members_.size();
     for (;;) {
       skip_ws();
       std::string key = string();
       skip_ws();
       expect(':');
-      v.object_.emplace_back(std::move(key), value());
+      members_.emplace_back(std::move(key), value());
       skip_ws();
       if (peek() == ',') {
         ++pos_;
         continue;
       }
       expect('}');
+      v.object_ = take(members_, mark);
       return v;
     }
   }
@@ -181,31 +200,46 @@ class JsonParser {
       ++pos_;
       return v;
     }
+    const std::size_t mark = items_.size();
     for (;;) {
-      v.array_.push_back(value());
+      items_.push_back(value());
       skip_ws();
       if (peek() == ',') {
         ++pos_;
         continue;
       }
       expect(']');
+      v.array_ = take(items_, mark);
       return v;
     }
+  }
+
+  /// Move the entries a container collected above `mark` out of the
+  /// shared stack into an exactly sized vector: one allocation per array
+  /// or object instead of one per capacity doubling.
+  template <typename T>
+  static std::vector<T> take(std::vector<T>& stack, std::size_t mark) {
+    std::vector<T> out(std::make_move_iterator(stack.begin() + mark),
+                       std::make_move_iterator(stack.end()));
+    stack.erase(stack.begin() + mark, stack.end());
+    return out;
   }
 
   std::string string() {
     expect('"');
     std::string out;
     for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      // Copy the run up to the next quote or escape in one append: a
+      // string without escapes is a single copy.
+      std::size_t run = pos_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\')
+        ++run;
+      if (run == text_.size()) fail("unterminated string");
+      out.append(text_.data() + pos_, run - pos_);
+      pos_ = run + 1;
+      if (text_[run] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape");
-      c = text_[pos_++];
+      const char c = text_[pos_++];
       switch (c) {
         case '"':
         case '\\':
@@ -279,14 +313,16 @@ class JsonParser {
       }
     }
     if (pos_ == start) fail("expected a value");
-    // strtod needs NUL termination; numbers are short, copy locally.
-    const std::string tok(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail("malformed number");
+    // from_chars rounds exactly as strtod does; the token goes to strtod
+    // itself only when from_chars stops short of its end or reports it
+    // out of range, so every accepted token and every parsed bit match.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
     JsonValue v;
     v.type_ = JsonValue::Type::kNumber;
-    v.number_ = d;
+    const auto [end, ec] = std::from_chars(first, last, v.number_);
+    if (ec != std::errc{} || end != last)
+      v.number_ = strtod_token(text_.substr(start, pos_ - start));
     return v;
   }
 
@@ -295,6 +331,13 @@ class JsonParser {
   std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  // Elements and members of the containers still open, innermost last.
+  // Kept per thread, so a warm parse allocates only the exactly sized
+  // vectors it returns; a parse that threw may leave entries behind,
+  // which run() drops.
+  static inline thread_local std::vector<JsonValue> items_;
+  static inline thread_local std::vector<std::pair<std::string, JsonValue>>
+      members_;
 };
 
 JsonValue JsonValue::parse(std::string_view text) {
@@ -306,15 +349,25 @@ void json_append_double(std::string& out, double v) {
     out += "null";
     return;
   }
+  // The standard defines this conversion as printf's "%.17g".
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 void json_append_int(std::string& out, long long v) {
   char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", v);
-  out += buf;
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+void json_append_hex(std::string& out, std::uint64_t v) {
+  char buf[20] = {'"', '0', 'x'};
+  for (int i = 0; i < 16; ++i)
+    buf[3 + i] = kHexDigits[(v >> (60 - 4 * i)) & 15];
+  buf[19] = '"';
+  out.append(buf, sizeof buf);
 }
 
 void json_append_string(std::string& out, std::string_view s) {
@@ -344,10 +397,10 @@ void json_append_string(std::string& out, std::string_view s) {
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          const auto u = static_cast<unsigned char>(c);
+          const char esc[6] = {'\\', 'u', '0', '0', kHexDigits[u >> 4],
+                               kHexDigits[u & 15]};
+          out.append(esc, sizeof esc);
         } else {
           out.push_back(c);
         }

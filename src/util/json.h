@@ -6,8 +6,9 @@
 // and append-style writer helpers. Two properties matter here and are
 // guaranteed:
 //   * doubles round-trip exactly — the writer emits 17 significant digits
-//     ("%.17g"), which IEEE-754 guarantees is enough for strtod to
-//     reconstruct the identical bit pattern,
+//     (std::to_chars, defined to match printf's "%.17g"), which IEEE-754
+//     guarantees is enough for a correctly rounded parse (from_chars, as
+//     strtod would) to reconstruct the identical bit pattern,
 //   * object member order is preserved, so a serialize → parse →
 //     serialize cycle is byte-stable (useful for golden fixtures).
 
@@ -22,8 +23,11 @@ namespace meshopt {
 /// One parsed JSON value (null / bool / number / string / array / object).
 ///
 /// Numbers are stored as double; integers are exact up to 2^53, far beyond
-/// anything in the snapshot schema. Accessors throw std::invalid_argument
-/// on type mismatches so schema errors surface as exceptions, not UB.
+/// anything in the snapshot schema. A number token parses to the double
+/// strtod would give in the C locale (std::from_chars, with strtod itself
+/// for out-of-range tokens: 1e999 is inf, 1e-400 is 0). Accessors throw
+/// std::invalid_argument on type mismatches so schema errors surface as
+/// exceptions, not UB.
 class JsonValue {
  public:
   enum class Type : std::uint8_t {
@@ -78,15 +82,20 @@ class JsonValue {
 };
 
 // Append-style writer helpers. Callers assemble documents with ordinary
-// string concatenation plus these three for the non-trivial token kinds.
+// string concatenation plus these for the non-trivial token kinds. None
+// of them goes through printf or the C locale.
 
-/// Append `v` formatted with enough digits ("%.17g") that parsing returns
-/// the bit-identical double. Non-finite values are emitted as null (JSON
-/// has no inf/nan); the snapshot schema never produces them.
+/// Append `v` formatted with enough digits (std::to_chars with 17
+/// significant digits, byte-equal to printf's "%.17g") that parsing
+/// returns the bit-identical double. Non-finite values are emitted as
+/// null (JSON has no inf/nan); the snapshot schema never produces them.
 void json_append_double(std::string& out, double v);
 
 /// Append `v` as a decimal integer literal.
 void json_append_int(std::string& out, long long v);
+
+/// Append `v` as a quoted string of "0x" and 16 lowercase hex digits.
+void json_append_hex(std::string& out, std::uint64_t v);
 
 /// Append `s` as a quoted, escaped JSON string.
 void json_append_string(std::string& out, std::string_view s);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -125,6 +126,158 @@ TEST(MaxWeightIndependentSet, NodeCapTruncatesButStillReturnsASet) {
   EXPECT_TRUE(truncated);
   EXPECT_TRUE(is_independent(g, bits_to_links(bits, 40)));
   EXPECT_GE(got, 0.0);
+}
+
+/// The oracle as it stood before its scratch became per-thread and its
+/// per-node candidate vectors one flat per-depth buffer, kept verbatim as
+/// the reference for MwisDifferential.
+struct ReferenceMwisSearch {
+  const ConflictGraph* g = nullptr;
+  const double* w = nullptr;
+  int n = 0;
+  int words = 0;
+  const int* order = nullptr;
+  std::uint64_t node_cap = 0;
+  std::uint64_t nodes = 0;
+  bool truncated = false;
+  double best_w = 0.0;
+  std::vector<std::uint64_t> cur;
+  std::vector<std::uint64_t> best;
+
+  void search(std::vector<std::uint64_t>& cand, double cur_w, int from) {
+    if (truncated) return;
+    if (++nodes > node_cap) {
+      truncated = true;
+      return;
+    }
+    double bound = cur_w;
+    for (int wd = 0; wd < words; ++wd) {
+      std::uint64_t m = cand[static_cast<std::size_t>(wd)];
+      while (m != 0) {
+        bound += w[wd * 64 + std::countr_zero(m)];
+        m &= m - 1;
+      }
+    }
+    if (bound <= best_w + 1e-15) return;
+    std::vector<std::uint64_t> sub(static_cast<std::size_t>(words));
+    for (int oi = from; oi < n; ++oi) {
+      const int v = order[oi];
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+      if ((cand[static_cast<std::size_t>(v >> 6)] & bit) == 0) continue;
+      // Include v: candidates shrink to v's non-neighbors.
+      cur[static_cast<std::size_t>(v >> 6)] |= bit;
+      const double nw = cur_w + w[v];
+      if (nw > best_w) {
+        best_w = nw;
+        best = cur;
+      }
+      const std::uint64_t* adj = g->row(v);
+      for (int wd = 0; wd < words; ++wd)
+        sub[static_cast<std::size_t>(wd)] =
+            cand[static_cast<std::size_t>(wd)] &
+            ~adj[static_cast<std::size_t>(wd)];
+      sub[static_cast<std::size_t>(v >> 6)] &= ~bit;
+      search(sub, nw, oi + 1);
+      cur[static_cast<std::size_t>(v >> 6)] &= ~bit;
+      if (truncated) return;
+      // Exclude v and keep scanning; the bound tightens by w[v].
+      cand[static_cast<std::size_t>(v >> 6)] &= ~bit;
+      bound -= w[v];
+      if (bound <= best_w + 1e-15) return;
+    }
+  }
+};
+
+double reference_mwis(const ConflictGraph& graph,
+                      const std::vector<double>& weights,
+                      std::vector<std::uint64_t>& bits,
+                      std::uint64_t node_cap, std::uint64_t* nodes_visited,
+                      bool* truncated) {
+  const int n = graph.size();
+  const int words = graph.row_words();
+  bits.assign(static_cast<std::size_t>(words), 0);
+  if (nodes_visited != nullptr) *nodes_visited = 0;
+  if (truncated != nullptr) *truncated = false;
+  if (n == 0) return 0.0;
+
+  ReferenceMwisSearch s;
+  s.g = &graph;
+  s.w = weights.data();
+  s.n = n;
+  s.words = words;
+  s.node_cap = node_cap;
+  s.cur.assign(static_cast<std::size_t>(words), 0);
+  s.best.assign(static_cast<std::size_t>(words), 0);
+
+  std::vector<int> order(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
+  std::sort(order.begin(), order.end(), [&weights](int a, int b) {
+    const double wa = weights[static_cast<std::size_t>(a)];
+    const double wb = weights[static_cast<std::size_t>(b)];
+    if (wa != wb) return wa > wb;
+    return a < b;
+  });
+  s.order = order.data();
+
+  std::vector<std::uint64_t> cand(static_cast<std::size_t>(words), 0);
+  for (int v = 0; v < n; ++v) {
+    if (weights[static_cast<std::size_t>(v)] > 0.0)
+      cand[static_cast<std::size_t>(v >> 6)] |= std::uint64_t{1} << (v & 63);
+  }
+  s.search(cand, 0.0, 0);
+
+  bits = s.best;
+  if (nodes_visited != nullptr) *nodes_visited = s.nodes;
+  if (truncated != nullptr) *truncated = s.truncated;
+  return s.best_w;
+}
+
+/// Random graphs over one to three bitset words, with weights drawn from a
+/// pool that mixes zeros, negatives and exact ties with continuous values,
+/// and node caps small enough that some searches truncate: the oracle
+/// must return the reference's set, weight bits, node count and flag.
+TEST(MwisDifferential, MatchesReferenceSearchBitForBit) {
+  RngStream rng(59, "mwis-differential");
+  std::vector<std::uint64_t> got_bits;
+  std::vector<std::uint64_t> want_bits;
+  int truncations = 0;
+  for (int trial = 0; trial < 10000; ++trial) {
+    const int n = rng.uniform_int(1, 130);
+    // Sparse big graphs have exponentially many sets; keep those dense
+    // enough (or capped) that the search stays a few thousand nodes.
+    const double p = n > 40 ? rng.uniform(0.3, 0.9) : rng.uniform(0.0, 0.9);
+    const ConflictGraph g = random_graph(n, p, rng);
+    const double tie_pool[] = {0.0, -0.0, -1.0, 0.25, 0.5, 1.0, 1.0 / 3.0};
+    std::vector<double> w(static_cast<std::size_t>(n));
+    const int mode = rng.uniform_int(0, 2);
+    for (double& x : w) {
+      if (mode == 0 || rng.bernoulli(0.3))
+        x = tie_pool[rng.uniform_int(0, 6)];
+      else
+        x = rng.uniform(-0.5, 2.0);
+    }
+    const std::uint64_t cap = rng.bernoulli(0.2)
+                                  ? static_cast<std::uint64_t>(
+                                        rng.uniform_int(1, 40))
+                                  : std::uint64_t{1} << 14;
+    std::uint64_t got_nodes = 0;
+    std::uint64_t want_nodes = 0;
+    bool got_trunc = false;
+    bool want_trunc = false;
+    const double got = max_weight_independent_set(g, w, got_bits, cap,
+                                                  &got_nodes, &got_trunc);
+    const double want =
+        reference_mwis(g, w, want_bits, cap, &want_nodes, &want_trunc);
+    ASSERT_EQ(got_bits, want_bits) << "trial " << trial;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "trial " << trial;
+    ASSERT_EQ(got_nodes, want_nodes) << "trial " << trial;
+    ASSERT_EQ(got_trunc, want_trunc) << "trial " << trial;
+    truncations += want_trunc ? 1 : 0;
+  }
+  // The small caps did cut searches short, so truncation was compared too.
+  EXPECT_GT(truncations, 100);
 }
 
 TEST(ExtendToMaximal, ProducesMaximalSupersets) {

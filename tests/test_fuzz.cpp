@@ -1,0 +1,297 @@
+// Deterministic mutation fuzz of the serve wire's JSON submit frames.
+//
+// Serve-shaped snapshots (the serve_2000 tenants' chains: 9-12 links, a
+// 40% LIR conflict table, capacities of 1.5-5 Mb/s) are framed with
+// wire_append_submit and then mutated, RngStream-driven so every run
+// replays the same inputs: bytes inside number tokens are replaced, the
+// frame is truncated, and the length prefix lies. Every input must decode
+// or throw std::invalid_argument (or, when it is a frame prefix, ask for
+// more bytes); never crash, read out of bounds or throw anything else,
+// which the sanitizer build checks. A frame whose number tokens were
+// rewritten must decode to the snapshot the strtod-based parser would
+// have produced, bit for bit, or fail exactly when it would have failed.
+
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/snapshot.h"
+#include "serve/wire.h"
+#include "util/rng.h"
+#include "util/trace_codec.h"
+
+namespace meshopt {
+namespace {
+
+constexpr char kNumberAlphabet[] = "0123456789.eE+-";
+
+bool is_number_char(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+         c == '+' || c == '-';
+}
+
+MeasurementSnapshot serve_snapshot(RngStream& rng) {
+  const int links = rng.uniform_int(9, 12);
+  MeasurementSnapshot snap;
+  for (int i = 0; i < links; ++i) {
+    SnapshotLink l;
+    l.src = i;
+    l.dst = i + 1;
+    l.rate = Rate::kR11Mbps;
+    l.estimate.capacity_bps = rng.uniform(1.5e6, 5e6);
+    l.estimate.p_data = rng.uniform(0.0, 0.1);
+    l.estimate.p_ack = rng.uniform(0.0, 0.05);
+    l.estimate.p_link = 0.02;
+    snap.links.push_back(l);
+    snap.neighbors.emplace_back(i, i + 1);
+  }
+  // Some tenants submit the poisoned loss the repair tier clamps.
+  if (rng.bernoulli(0.25)) snap.links.back().estimate.p_data = 1.7;
+  snap.lir.resize(links, links, 1.0);
+  for (int i = 0; i < links; ++i)
+    for (int j = i + 1; j < links; ++j)
+      if (rng.bernoulli(0.4)) snap.lir(i, j) = snap.lir(j, i) = 0.4;
+  snap.lir_threshold = 0.95;
+  return snap;
+}
+
+/// [begin, end) of every number token in a JSON document: the maximal
+/// runs of number characters outside string literals.
+std::vector<std::pair<std::size_t, std::size_t>> number_tokens(
+    std::string_view doc) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::size_t i = 0;
+  while (i < doc.size()) {
+    if (doc[i] == '"') {
+      i = doc.find('"', i + 1) + 1;  // the schema's keys hold no escapes
+    } else if (is_number_char(doc[i])) {
+      const std::size_t begin = i;
+      while (i < doc.size() && is_number_char(doc[i])) ++i;
+      spans.emplace_back(begin, i);
+    } else {
+      ++i;
+    }
+  }
+  return spans;
+}
+
+/// The JSON parser's number decision when it ran on strtod: nullopt when
+/// the token is rejected, else the double.
+std::optional<double> reference_number(std::string_view tok) {
+  if (tok.empty() || tok[0] == '+') return std::nullopt;
+  const std::string s(tok);
+  char* end = nullptr;
+  const double d = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size()) return std::nullopt;
+  return d;
+}
+
+/// A spelling of `v` that any correctly rounding parser reads back as `v`
+/// (printf's shortest exact form; strtod's overflow spelling for inf).
+std::string canonical_number(double v) {
+  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+enum class Outcome { kWait, kThrew, kDecoded };
+
+Outcome decode(std::string_view frame, WireFrame& out,
+               std::size_t* consumed = nullptr) {
+  try {
+    const std::size_t n = wire_decode_frame(frame, out);
+    if (consumed != nullptr) *consumed = n;
+    return n == 0 ? Outcome::kWait : Outcome::kDecoded;
+  } catch (const std::invalid_argument&) {
+    return Outcome::kThrew;
+  }
+}
+
+/// Bit-exact snapshot identity: the binary record encoding writes every
+/// double's bits, so NaN and -0.0 compare as themselves.
+std::string snapshot_bits(const MeasurementSnapshot& snap) {
+  std::string out;
+  trace_append_snapshot_payload(out, snap);
+  return out;
+}
+
+std::string submit_frame(const MeasurementSnapshot& snap,
+                         std::uint32_t tenant) {
+  std::string frame;
+  wire_append_submit(frame,
+                     SubmitRequest{tenant, 7, WireFormat::kJson, snap});
+  return frame;
+}
+
+void set_declared_length(std::string& frame, std::uint32_t len) {
+  for (int b = 0; b < 4; ++b)
+    frame[20 + static_cast<std::size_t>(b)] =
+        static_cast<char>((len >> (8 * b)) & 0xff);
+}
+
+TEST(WireFuzz, NumberTokenMutationsDecodeLikeStrtodOrThrow) {
+  RngStream rng(61, "wire-fuzz-numbers");
+  int decoded = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::string frame = submit_frame(serve_snapshot(rng), 3);
+    std::string payload = frame.substr(kWireHeaderBytes);
+    const auto spans = number_tokens(payload);
+    ASSERT_FALSE(spans.empty());
+    // Rewrite one to three tokens in place with number characters, so
+    // the document keeps its structure and only the token text changes.
+    for (int k = rng.uniform_int(1, 3); k > 0; --k) {
+      const auto [begin, end] =
+          spans[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<int>(spans.size()) - 1))];
+      for (int f = rng.uniform_int(1, 2); f > 0; --f) {
+        const int at = rng.uniform_int(static_cast<int>(begin),
+                                       static_cast<int>(end) - 1);
+        payload[static_cast<std::size_t>(at)] =
+            kNumberAlphabet[rng.uniform_int(0, 14)];
+      }
+      // Some tokens end in a three-digit exponent, so values past the
+      // double range (strtod's inf and 0) come up too.
+      if (end - begin >= 6 && rng.bernoulli(0.3)) {
+        char* tail = payload.data() + end - 5;
+        tail[0] = 'e';
+        tail[1] = rng.bernoulli(0.5) ? '+' : '-';
+        for (int d = 2; d < 5; ++d)
+          tail[d] = static_cast<char>('0' + rng.uniform_int(0, 9));
+      }
+    }
+    std::string mutated = frame.substr(0, kWireHeaderBytes) + payload;
+
+    // The reference: every token read by strtod, then spelled canonically.
+    bool tokens_ok = true;
+    std::string canonical;
+    std::size_t at = 0;
+    for (const auto& [begin, end] : spans) {
+      const auto v = reference_number(
+          std::string_view(payload).substr(begin, end - begin));
+      if (!v) {
+        tokens_ok = false;
+        break;
+      }
+      canonical.append(payload, at, begin - at);
+      canonical += canonical_number(*v);
+      at = end;
+    }
+    std::optional<MeasurementSnapshot> want;
+    if (tokens_ok) {
+      canonical.append(payload, at);
+      try {
+        want = MeasurementSnapshot::from_json(canonical);
+      } catch (const std::invalid_argument&) {
+      }
+    }
+
+    WireFrame out;
+    const Outcome got = decode(mutated, out);
+    ASSERT_NE(got, Outcome::kWait) << "iter " << iter;
+    if (want) {
+      ASSERT_EQ(got, Outcome::kDecoded)
+          << "iter " << iter << ": " << payload;
+      ASSERT_EQ(snapshot_bits(out.snapshot), snapshot_bits(*want))
+          << "iter " << iter << ": " << payload;
+      ++decoded;
+    } else {
+      ASSERT_EQ(got, Outcome::kThrew)
+          << "iter " << iter << ": " << payload;
+      ++rejected;
+    }
+  }
+  // Both branches of the invariant ran many times.
+  EXPECT_GT(decoded, 500);
+  EXPECT_GT(rejected, 500);
+}
+
+TEST(WireFuzz, ArbitraryByteFlipsDecodeOrThrow) {
+  RngStream rng(67, "wire-fuzz-flips");
+  for (int iter = 0; iter < 4000; ++iter) {
+    const MeasurementSnapshot snap = serve_snapshot(rng);
+    std::string frame = submit_frame(snap, 5);
+    const auto spans =
+        number_tokens(std::string_view(frame).substr(kWireHeaderBytes));
+    for (int k = rng.uniform_int(1, 4); k > 0; --k) {
+      const auto [begin, end] =
+          spans[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<int>(spans.size()) - 1))];
+      const int at = rng.uniform_int(static_cast<int>(begin),
+                                     static_cast<int>(end) - 1);
+      frame[kWireHeaderBytes + static_cast<std::size_t>(at)] ^=
+          static_cast<char>(1 << rng.uniform_int(0, 7));
+    }
+    WireFrame out;
+    std::size_t consumed = 0;
+    const Outcome got = decode(frame, out, &consumed);
+    ASSERT_NE(got, Outcome::kWait) << "iter " << iter;
+    if (got == Outcome::kDecoded) ASSERT_EQ(consumed, frame.size());
+  }
+}
+
+TEST(WireFuzz, TruncatedFramesWaitOrThrow) {
+  RngStream rng(71, "wire-fuzz-truncate");
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::string frame = submit_frame(serve_snapshot(rng), 9);
+    const auto cut = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(frame.size()) - 1));
+    WireFrame out;
+    // A prefix of an honest frame is "wait for more bytes".
+    ASSERT_EQ(decode(std::string_view(frame).substr(0, cut), out),
+              Outcome::kWait)
+        << "cut " << cut;
+    // The same prefix with its length prefix made to agree: the payload
+    // is a proper prefix of a JSON object, never a document.
+    if (cut < kWireHeaderBytes) continue;
+    std::string shortened = frame.substr(0, cut);
+    set_declared_length(shortened,
+                        static_cast<std::uint32_t>(cut - kWireHeaderBytes));
+    ASSERT_EQ(decode(shortened, out), Outcome::kThrew) << "cut " << cut;
+  }
+}
+
+TEST(WireFuzz, LyingLengthPrefixesWaitOrThrow) {
+  RngStream rng(73, "wire-fuzz-length");
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string frame = submit_frame(serve_snapshot(rng), 11);
+    const auto honest =
+        static_cast<std::int64_t>(frame.size() - kWireHeaderBytes);
+    std::int64_t lie = 0;
+    switch (rng.uniform_int(0, 2)) {
+      case 0:  // off by a little, either way
+        lie = honest + rng.uniform_int(-16, 16);
+        break;
+      case 1:  // anywhere in the payload
+        lie = rng.uniform_int(0, static_cast<int>(honest));
+        break;
+      default:  // any 32-bit value, up to far past the frame size limit
+        lie = static_cast<std::int64_t>(rng.next_u64() & 0xffffffffu);
+        break;
+    }
+    if (lie < 0) lie = 0;
+    if (lie == honest) continue;
+    set_declared_length(frame, static_cast<std::uint32_t>(lie));
+    WireFrame out;
+    const Outcome got = decode(frame, out);
+    if (lie > honest && lie <= kWireMaxPayloadBytes) {
+      ASSERT_EQ(got, Outcome::kWait) << "lie " << lie;
+    } else {
+      // Past the frame size limit, or a payload cut short: both throw.
+      ASSERT_EQ(got, Outcome::kThrew) << "lie " << lie;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace meshopt

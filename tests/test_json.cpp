@@ -5,15 +5,24 @@
 // covered incidentally all over the suite; this file pins the edges:
 // truncation, unterminated strings, the recursion depth bound, trailing
 // garbage, malformed numbers/literals/escapes, accessor type errors, and
-// the writer's non-finite-double policy.
+// the writer's non-finite-double policy. The JsonNumberIo suite holds the
+// number writer and reader to the printf/strtod routines they replaced.
 
+#include <cfloat>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace meshopt {
 namespace {
@@ -139,6 +148,205 @@ TEST(JsonErrors, NonFiniteDoublesWriteAsNull) {
     const double back = JsonValue::parse(out).as_number();
     EXPECT_EQ(std::signbit(back), std::signbit(v));
     EXPECT_EQ(back, v);
+  }
+}
+
+// ---------------------------------------------- number I/O vs printf/strtod
+
+// The writer and the number parser once ran on snprintf and strtod; they
+// are kept here verbatim as the reference the charconv versions must
+// reproduce byte for byte and bit for bit.
+
+std::string reference_append_double(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string reference_append_int(long long v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%lld", v);
+  return buf;
+}
+
+/// The parser's old decision on a document that is one number token (all
+/// characters in [0-9.eE+-]): nullopt when it threw, else the value.
+std::optional<double> reference_parse_number(const std::string& tok) {
+  if (tok.empty() || tok[0] == '+') return std::nullopt;
+  char* end = nullptr;
+  const double d = std::strtod(tok.c_str(), &end);
+  if (end != tok.c_str() + tok.size()) return std::nullopt;
+  return d;
+}
+
+std::optional<double> parse_number(const std::string& tok) {
+  try {
+    return JsonValue::parse(tok).as_number();
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+void expect_same_double_text(double v) {
+  std::string out;
+  json_append_double(out, v);
+  ASSERT_EQ(out, reference_append_double(v)) << "bits 0x" << std::hex
+                                             << bits_of(v);
+}
+
+void expect_same_parse(const std::string& tok) {
+  const std::optional<double> want = reference_parse_number(tok);
+  const std::optional<double> got = parse_number(tok);
+  ASSERT_EQ(got.has_value(), want.has_value()) << "token '" << tok << "'";
+  if (want)
+    ASSERT_EQ(bits_of(*got), bits_of(*want)) << "token '" << tok << "'";
+}
+
+std::vector<double> edge_doubles() {
+  std::vector<double> v = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           DBL_MIN,
+                           std::nextafter(DBL_MIN, 0.0),
+                           DBL_MAX,
+                           -DBL_MAX,
+                           DBL_EPSILON,
+                           0.1 + 0.2,
+                           1.0 / 3.0,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (int e = -330; e <= 310; ++e) {
+    const double p = std::pow(10.0, e);
+    v.push_back(p);
+    v.push_back(std::nextafter(p, 0.0));
+    v.push_back(std::nextafter(p, HUGE_VAL));
+  }
+  for (int k = 0; k <= 53; ++k) {
+    const double p = std::ldexp(1.0, k);
+    v.push_back(p);
+    v.push_back(p - 1.0);
+    v.push_back(-(p + 1.0));
+  }
+  return v;
+}
+
+TEST(JsonNumberIo, AppendDoubleMatchesPrintfOnEdgeValues) {
+  for (const double v : edge_doubles()) expect_same_double_text(v);
+  RngStream rng(41, "json-int53");
+  for (int i = 0; i < 100000; ++i)
+    expect_same_double_text(
+        static_cast<double>(rng.next_u64() >> (11 + rng.next_u64() % 53)));
+}
+
+TEST(JsonNumberIo, AppendDoubleMatchesPrintfOnRandomBitPatterns) {
+  RngStream rng(43, "json-bits");
+  for (int i = 0; i < 1000000; ++i) {
+    double v = 0.0;
+    const std::uint64_t b = rng.next_u64();
+    std::memcpy(&v, &b, sizeof v);
+    expect_same_double_text(v);
+  }
+  // Values shaped like the wire's: probabilities and bit rates.
+  for (int i = 0; i < 200000; ++i) {
+    expect_same_double_text(rng.uniform());
+    expect_same_double_text(rng.uniform(1e5, 5.4e7));
+  }
+}
+
+TEST(JsonNumberIo, AppendIntAndEscapesMatchPrintf) {
+  RngStream rng(47, "json-ints");
+  for (const long long v :
+       {0LL, -1LL, 1LL, std::numeric_limits<long long>::min(),
+        std::numeric_limits<long long>::max()}) {
+    std::string out;
+    json_append_int(out, v);
+    EXPECT_EQ(out, reference_append_int(v));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const auto v = static_cast<long long>(rng.next_u64() >>
+                                          (rng.next_u64() % 64));
+    std::string out;
+    json_append_int(out, i % 2 == 0 ? v : -v);
+    ASSERT_EQ(out, reference_append_int(i % 2 == 0 ? v : -v));
+  }
+  for (int c = 1; c < 0x20; ++c) {
+    if (c == '\b' || c == '\f' || c == '\n' || c == '\r' || c == '\t')
+      continue;
+    std::string out;
+    json_append_string(out, std::string(1, static_cast<char>(c)));
+    char want[16];
+    std::snprintf(want, sizeof want, "\"\\u%04x\"",
+                  static_cast<unsigned>(c));
+    EXPECT_EQ(out, want);
+  }
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t v = rng.next_u64() >> (rng.next_u64() % 64);
+    std::string out;
+    json_append_hex(out, v);
+    char want[24];
+    std::snprintf(want, sizeof want, "\"0x%016" PRIx64 "\"", v);
+    ASSERT_EQ(out, want);
+  }
+}
+
+TEST(JsonNumberIo, ParseMatchesStrtodOnEdgeTokens) {
+  for (const char* tok :
+       {"1e999", "-1e999", "1e-400", "-1e-400", "1e-320",
+        "4.9406564584124654e-324", "2.4703282292062327e-324",
+        "2.4703282292062328e-324", "1.7976931348623157e308",
+        "1.7976931348623158e308",
+        "1.7976931348623159e308", "2.2250738585072011e-308", "1.", ".5",
+        "-.5", "1e", "1e+", "1e-", "e5", ".", "-", "+", "00012", "-0", "0",
+        "-0.0", "0e0", "1E5", "1e+05", "1.5e-3", "12345678901234567890123",
+        "0.000000000000000000000000000001", "1e0000000000000000000000000001",
+        "1e99999999999999999999", "1e-99999999999999999999", "--1", "1-1",
+        "1e5e5", "1..2", "+1", "9007199254740993", "-9007199254740993"}) {
+    expect_same_parse(tok);
+  }
+  for (const double v : edge_doubles()) {
+    if (std::isfinite(v)) expect_same_parse(reference_append_double(v));
+  }
+}
+
+TEST(JsonNumberIo, ParseMatchesStrtodOnRandomTokens) {
+  static constexpr char kAlphabet[] = "0123456789.eE+-";
+  RngStream rng(53, "json-tokens");
+  auto digits = [&rng](std::string& s, int lo, int hi) {
+    for (int n = rng.uniform_int(lo, hi); n > 0; --n)
+      s.push_back(static_cast<char>('0' + rng.uniform_int(0, 9)));
+  };
+  for (int i = 0; i < 1000000; ++i) {
+    std::string tok;
+    if (i % 2 == 0) {
+      // Any string over the number alphabet: mostly rejected.
+      for (int n = rng.uniform_int(1, 12); n > 0; --n)
+        tok.push_back(kAlphabet[rng.uniform_int(0, 14)]);
+    } else {
+      // Grammar-shaped: sign, integer part, fraction, exponent, with
+      // lengths and exponents that reach both ends of the double range.
+      if (rng.bernoulli(0.3)) tok.push_back('-');
+      digits(tok, 0, rng.bernoulli(0.1) ? 30 : 6);
+      if (rng.bernoulli(0.6)) {
+        tok.push_back('.');
+        digits(tok, 0, rng.bernoulli(0.1) ? 30 : 17);
+      }
+      if (rng.bernoulli(0.5)) {
+        tok.push_back(rng.bernoulli(0.5) ? 'e' : 'E');
+        const int sign = rng.uniform_int(0, 2);
+        if (sign > 0) tok.push_back(sign == 1 ? '+' : '-');
+        digits(tok, 0, 3);
+      }
+    }
+    expect_same_parse(tok);
   }
 }
 

@@ -9,8 +9,14 @@
 // match them exactly (cheaper pivots, not fewer). Nor do they depend on
 // the library's vector width: the serve-shaped pins hold for the default
 // x86-64 target, -march=native, and -march=native capped at 128 bits.
+// Heap allocations are a work count too: this binary replaces the global
+// operator new with a counting one.
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,10 +28,31 @@
 #include "opt/column_gen.h"
 #include "opt/network_optimizer.h"
 #include "scenario/topologies.h"
+#include "serve/wire.h"
 #include "util/rng.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_heap_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace meshopt {
 namespace {
+
+std::uint64_t heap_allocations() {
+  return g_heap_allocations.load(std::memory_order_relaxed);
+}
 
 /// Cluster 0 of the 50-link-per-cluster city (the replay benchmark's
 /// clique component) with the cluster's own flows: a master wide enough
@@ -90,11 +117,9 @@ TEST(PerfBudget, ExactTierProportionalFairSolve) {
   EXPECT_EQ(opt.pivots(), 338u);
 }
 
-/// A serve_2000-shaped tenant: 11 chain links whose LIR table marks about
-/// 40% of the pairs as conflicting, three flows, proportional fairness on
-/// the fast tier. The seed gives 11-15 Frank-Wolfe iterations a round, so
-/// the line search and about 20 MWIS pricing calls per plan run.
-TEST(PerfBudget, ServeShapedFastTierDriftRounds) {
+/// A serve_2000-shaped tenant snapshot: 11 chain links whose LIR table
+/// marks about 40% of the pairs as conflicting.
+MeasurementSnapshot serve_shaped_snapshot() {
   constexpr int kLinks = 11;
   RngStream topo(4, "perf-budget-serve");
   MeasurementSnapshot snap;
@@ -112,6 +137,14 @@ TEST(PerfBudget, ServeShapedFastTierDriftRounds) {
     for (int j = i + 1; j < kLinks; ++j)
       if (topo.bernoulli(0.4)) snap.lir(i, j) = snap.lir(j, i) = 0.4;
   snap.lir_threshold = 0.95;
+  return snap;
+}
+
+/// The serve-shaped tenant with three flows, proportional fairness on the
+/// fast tier. The seed gives 11-15 Frank-Wolfe iterations a round, so the
+/// line search and about 20 MWIS pricing calls per plan run.
+TEST(PerfBudget, ServeShapedFastTierDriftRounds) {
+  MeasurementSnapshot snap = serve_shaped_snapshot();
   const std::vector<FlowSpec> flows = {
       {0, {0, 1, 2, 3}, false}, {1, {3, 4, 5}, false}, {2, {6, 7, 8}, false}};
 
@@ -121,11 +154,14 @@ TEST(PerfBudget, ServeShapedFastTierDriftRounds) {
   Planner planner;
   RngStream drift(2, "perf-budget-serve-drift");
   std::vector<int> fw_iterations;
+  std::vector<std::uint64_t> allocations;
   for (int round = 0; round < 4; ++round) {
     for (SnapshotLink& l : snap.links)
       l.estimate.capacity_bps *= drift.uniform(0.9, 1.1);
+    const std::uint64_t before = heap_allocations();
     const RatePlan plan =
         planner.plan(snap, InterferenceModelKind::kLirTable, flows, cfg);
+    allocations.push_back(heap_allocations() - before);
     ASSERT_TRUE(plan.ok) << "round " << round;
     fw_iterations.push_back(plan.optimizer_iterations);
   }
@@ -135,6 +171,51 @@ TEST(PerfBudget, ServeShapedFastTierDriftRounds) {
   EXPECT_EQ(st.pivots, 385u);
   EXPECT_EQ(st.master_solves, 77u);
   EXPECT_EQ(fw_iterations, (std::vector<int>{15, 14, 11, 12}));
+  // 182, 130, 126 and 127 with the per-thread MWIS scratch; 323, 252, 232
+  // and 233 when the oracle allocated a vector per search node.
+  for (std::size_t round = 0; round < allocations.size(); ++round)
+    EXPECT_LE(allocations[round], 200u) << "round " << round;
+}
+
+/// The pricing oracle keeps its search buffers per thread: once warm, a
+/// call on the same or a smaller graph allocates nothing. The caller's
+/// `bits` is reused too.
+TEST(PerfBudget, WarmMwisCallMakesNoHeapAllocation) {
+  RngStream rng(6, "perf-budget-mwis");
+  for (const int n : {130, 11, 64}) {
+    ConflictGraph g(n);
+    for (int a = 0; a < n; ++a)
+      for (int b = a + 1; b < n; ++b)
+        if (rng.bernoulli(0.5)) g.add_conflict(a, b);
+    std::vector<double> w(static_cast<std::size_t>(n));
+    for (double& x : w) x = rng.uniform(-0.2, 1.0);
+    std::vector<std::uint64_t> bits;
+    (void)max_weight_independent_set(g, w, bits);  // warm-up
+    const std::uint64_t before = heap_allocations();
+    std::uint64_t nodes = 0;
+    (void)max_weight_independent_set(g, w, bits, std::uint64_t{1} << 22,
+                                     &nodes);
+    EXPECT_EQ(heap_allocations() - before, 0u) << "n = " << n;
+    EXPECT_GT(nodes, 1u);
+  }
+}
+
+/// The JSON parser stages container entries on per-thread stacks, so a
+/// warm decode of a serve-shaped submit frame makes one allocation per
+/// array or object it returns (27 here; 181 when every array grew by
+/// doubling and strtod took a heap copy of long tokens).
+TEST(PerfBudget, WarmJsonSubmitDecodeAllocations) {
+  std::string frame;
+  wire_append_submit(frame, SubmitRequest{1, 2, WireFormat::kJson,
+                                          serve_shaped_snapshot()});
+  WireFrame warm;
+  ASSERT_EQ(wire_decode_frame(frame, warm), frame.size());
+  const std::uint64_t before = heap_allocations();
+  {
+    WireFrame out;
+    ASSERT_EQ(wire_decode_frame(frame, out), frame.size());
+  }
+  EXPECT_LE(heap_allocations() - before, 30u);
 }
 
 }  // namespace
