@@ -211,10 +211,12 @@ void ColumnGenOptimizer::seed_columns(const ColumnGenInput& in) {
 /// in the same row order so dual indices line up with link indices.
 void ColumnGenOptimizer::build_master(const ColumnGenInput& in, const Shape& s,
                                       int extra_vars) {
-  master_ = LpProblem();
   const int cols = columns_.count();
-  master_.num_vars = s.flows + cols + extra_vars;
-  master_.objective.assign(static_cast<std::size_t>(master_.num_vars), 0.0);
+  // Refill in place: the master keeps its buffers from the last build.
+  // Rows: links, convexity, up to one safety cap and one max-min row per
+  // flow.
+  master_.reset(s.flows + cols + extra_vars);
+  master_.reserve_rows(s.links + 1 + 2 * s.flows);
 
   const double inv_scale = 1.0 / s.scale;
   for (int l = 0; l < s.links; ++l) {

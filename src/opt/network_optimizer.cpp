@@ -271,8 +271,9 @@ LpProblem build_rate_region_lp(const OptimizerInput& in, double scale,
   const int flows = in.routing.cols();
   const int points = in.extreme_points.rows();
   LpProblem lp;
-  lp.num_vars = flows + points + extra_vars;
-  lp.objective.assign(static_cast<std::size_t>(lp.num_vars), 0.0);
+  lp.reset(flows + points + extra_vars);
+  // Links, convexity, up to one safety cap and one max-min row per flow.
+  lp.reserve_rows(links + 1 + 2 * flows);
 
   const double inv_scale = 1.0 / scale;
   for (int l = 0; l < links; ++l) {

@@ -16,6 +16,12 @@
 // the tableau matches the dense kernel bit for bit, signs of zeros
 // included (ARCHITECTURE.md, "Optimizer").
 //
+// Instruction sets: the solve path (opt/simplex_path.inc) is compiled once
+// for the default target and once for AVX2, and each solve entry runs the
+// solver's SimplexIsa copy (AVX2 when the CPU has it). Both copies perform
+// the same operations in the same order, so they agree bit for bit
+// (tests/test_simplex.cpp, SimplexIsaDifferential).
+//
 // Problem form: maximize c.x subject to a set of <=, =, >= constraints and
 // x >= 0.
 //
@@ -61,6 +67,14 @@ struct LpProblem {
 
   [[nodiscard]] int num_constraints() const { return coeffs.rows(); }
 
+  /// Drop every constraint and start over with `vars` variables and a zero
+  /// objective. Buffers keep their capacity, so a builder that refills a
+  /// same-shaped problem every round allocates nothing.
+  void reset(int vars);
+
+  /// Make room for `rows` constraint rows at the current num_vars.
+  void reserve_rows(int rows);
+
   /// Append a zero-filled constraint row and return its coefficient
   /// pointer (num_vars elements) for in-place fill. The preferred builder
   /// on hot paths: no per-row vector allocation.
@@ -90,6 +104,61 @@ struct LpSolution {
   std::vector<double> x;          ///< length num_vars, all >= 0
 };
 
+/// Instruction set a solver's solve path runs in. The path (load, both
+/// phases, pricing, ratio test, pivots, crash) is compiled once for each
+/// enumerator from one source (opt/simplex_path.inc). Its loops are
+/// element-wise multiplies, subtracts, divides and bit tests, its one
+/// reduction (the pricing maximum) is exact in any order, and neither
+/// variant contracts to FMA (-ffp-contract=off; AVX2 does not imply FMA).
+/// So every variant returns the same bits, takes the same pivots and
+/// leaves the same tableau, signs of zeros included.
+enum class SimplexIsa : std::uint8_t {
+  kBaseline,  ///< the compiler's default target (128-bit SSE2 on x86-64)
+  kAvx2,      ///< 256-bit AVX2 loops (x86 GCC builds, AVX2 CPUs only)
+};
+
+/// Whether this build holds the `isa` variant and the CPU can run it.
+[[nodiscard]] bool simplex_isa_supported(SimplexIsa isa);
+
+/// The variant a default-constructed LpSolver runs: kAvx2 where
+/// supported, else kBaseline. The CPU is queried once per process.
+[[nodiscard]] SimplexIsa simplex_default_isa();
+
+namespace simplex_detail {
+
+/// Working state of one LpSolver, shared by every ISA variant of the
+/// solve path (see LpSolver for the meaning of the public accessors).
+struct LpState {
+  int m = 0;                 ///< constraint rows
+  int n_orig = 0;            ///< original (caller) variables
+  int n = 0;                 ///< total columns incl. slack/artificial
+  int first_artificial = 0;  ///< first artificial column index
+  int stride = 0;            ///< tableau row stride: n + 1 padded to 8
+                             ///< doubles (64 B) so rows are SIMD-aligned
+  bool basis_cached = false; ///< feasible basis available for warm solves
+  bool hint_used = false;    ///< see LpSolver::hint_used()
+  std::uint64_t pivots = 0;  ///< see LpSolver::pivots()
+  DenseMatrix tab;           ///< m x stride; column n is the RHS,
+                             ///< columns beyond it stay exactly 0
+  std::vector<double> obj;   ///< reduced-cost row, length stride
+  std::vector<int> basis;    ///< basic variable per row
+  std::vector<int> unit_col;      ///< initially-basic column per row: the
+                                  ///< slack/artificial whose tableau column
+                                  ///< holds that row of the basis inverse
+  std::vector<double> row_sign;   ///< +1, or -1 where load() flipped the
+                                  ///< row to normalize a negative rhs
+  std::vector<Relation> cached_rels;  ///< fingerprint for warm-solve guard
+  std::vector<double> cached_rhs;     ///< fingerprint for warm-solve guard
+  std::vector<char> neg_zero;  ///< per row: may hold a -0.0, so the sparse
+                               ///< pivot must update it densely (kept on
+                               ///< wide tableaux only)
+  bool obj_neg_zero = false;   ///< the same for the reduced-cost row
+  std::vector<int> nz_blocks;  ///< first column of each nonzero 8-double
+                               ///< block of the pivot row (scratch)
+};
+
+}  // namespace simplex_detail
+
 /// Reusable two-phase simplex solver.
 ///
 /// The solver owns its tableau workspace (flat DenseMatrix + objective
@@ -98,9 +167,22 @@ struct LpSolution {
 /// when a caller (Frank–Wolfe, max-min water-filling) issues hundreds of
 /// solves over identically-shaped problems.
 ///
+/// Each solve entry picks the solver's SimplexIsa variant once; the whole
+/// solve then runs in that variant, with no per-pivot indirection.
+///
 /// Not thread-safe: use one LpSolver per thread.
 class LpSolver {
  public:
+  /// A solver on simplex_default_isa().
+  LpSolver();
+
+  /// A solver pinned to one variant (the differential tests run both).
+  /// @throws std::invalid_argument if !simplex_isa_supported(isa).
+  explicit LpSolver(SimplexIsa isa);
+
+  /// The variant every solve of this solver runs in.
+  [[nodiscard]] SimplexIsa isa() const { return isa_; }
+
   /// Solve `problem` from scratch (phase 1 + phase 2).
   ///
   /// @pre  problem.objective.size() >= effective use (missing trailing
@@ -158,17 +240,17 @@ class LpSolver {
 
   /// Whether the most recent solve_with_basis() started phase 2 from its
   /// hint (true) or fell back to the cold two-phase path (false).
-  [[nodiscard]] bool hint_used() const { return hint_used_; }
+  [[nodiscard]] bool hint_used() const { return s_.hint_used; }
 
   /// Pivots performed over this solver's lifetime, every solve path and
   /// both phases included (the crash pivots of a rejected hint too). A
   /// deterministic work count: identical inputs give identical counts.
-  [[nodiscard]] std::uint64_t pivots() const { return pivots_; }
+  [[nodiscard]] std::uint64_t pivots() const { return s_.pivots; }
 
   /// Basic column per row of the most recent solve, in solver column
   /// layout (caller variables first, then slack/artificial). Meaningful
   /// after a kOptimal solve; feed back into solve_with_basis().
-  [[nodiscard]] const std::vector<int>& basis() const { return basis_; }
+  [[nodiscard]] const std::vector<int>& basis() const { return s_.basis; }
 
   /// Row duals (shadow prices) of the most recent kOptimal solve, in the
   /// caller's row order and sign convention: for `maximize c.x`, the
@@ -178,42 +260,17 @@ class LpSolver {
   /// These drive the column-generation pricing oracle.
   void duals(std::vector<double>& out) const;
 
- private:
-  void load(const LpProblem& p);
-  [[nodiscard]] LpSolution finish(const LpProblem& problem, LpStatus st);
-  [[nodiscard]] bool phase1();
-  [[nodiscard]] LpStatus phase2(const std::vector<double>& c);
-  void make_reduced_costs_consistent();
-  void pivot(int row, int col);
-  [[nodiscard]] bool optimize(int price_limit);
-  void drive_out_artificials();
+  /// The working tableau left by the most recent solve (constraint rows x
+  /// padded stride; the column after the last slack/artificial is the
+  /// rhs) and its reduced-cost row: what the ISA differential compares.
+  [[nodiscard]] const DenseMatrix& tableau() const { return s_.tab; }
+  [[nodiscard]] const std::vector<double>& reduced_costs() const {
+    return s_.obj;
+  }
 
-  int m_ = 0;                ///< constraint rows
-  int n_orig_ = 0;           ///< original (caller) variables
-  int n_ = 0;                ///< total columns incl. slack/artificial
-  int first_artificial_ = 0; ///< first artificial column index
-  int stride_ = 0;           ///< tableau row stride: n_ + 1 padded to 8
-                             ///< doubles (64 B) so rows are SIMD-aligned
-  bool basis_cached_ = false;  ///< feasible basis available for warm solves
-  bool hint_used_ = false;     ///< see hint_used()
-  std::uint64_t pivots_ = 0;   ///< see pivots()
-  DenseMatrix tab_;          ///< m_ x stride_; column n_ is the RHS,
-                             ///< columns beyond it stay exactly 0
-  std::vector<double> obj_;  ///< reduced-cost row, length stride_
-  std::vector<int> basis_;   ///< basic variable per row
-  std::vector<int> unit_col_;     ///< initially-basic column per row: the
-                                  ///< slack/artificial whose tableau column
-                                  ///< holds that row of the basis inverse
-  std::vector<double> row_sign_;  ///< +1, or -1 where load() flipped the
-                                  ///< row to normalize a negative rhs
-  std::vector<Relation> cached_rels_;  ///< fingerprint for warm-solve guard
-  std::vector<double> cached_rhs_;     ///< fingerprint for warm-solve guard
-  std::vector<char> neg_zero_;  ///< per row: may hold a -0.0, so the sparse
-                                ///< pivot must update it densely (kept on
-                                ///< wide tableaux only)
-  bool obj_neg_zero_ = false;   ///< the same for the reduced-cost row
-  std::vector<int> nz_blocks_;  ///< first column of each nonzero 8-double
-                                ///< block of the pivot row (scratch)
+ private:
+  simplex_detail::LpState s_;
+  SimplexIsa isa_;
 };
 
 /// One-shot convenience wrapper: constructs a fresh LpSolver and solves.

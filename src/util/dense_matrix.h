@@ -112,6 +112,14 @@ class DenseMatrix {
     data_.clear();
   }
 
+  /// Make room for `rows` rows at the current column count, so appending
+  /// up to that many allocates nothing.
+  void reserve_rows(int rows) {
+    if (rows > 0)
+      data_.reserve(static_cast<std::size_t>(rows) *
+                    static_cast<std::size_t>(cols_));
+  }
+
   /// Append one zero-filled row and return its pointer for in-place fill.
   /// The matrix must have a column count (set via ctor/resize/set_cols).
   double* append_row() {

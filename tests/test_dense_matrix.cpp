@@ -96,6 +96,18 @@ TEST(DenseMatrix, ClearKeepsColsAndCapacity) {
   EXPECT_EQ(m(0, 4), 0.0);
 }
 
+TEST(DenseMatrix, ReserveRowsKeepsAppendsInPlace) {
+  DenseMatrix m;
+  m.set_cols(7);
+  m.reserve_rows(5);
+  m.append_row();
+  const double* buf = m.data();
+  for (int r = 1; r < 5; ++r) m.append_row()[6] = r;
+  EXPECT_EQ(m.data(), buf);
+  EXPECT_EQ(m.rows(), 5);
+  EXPECT_EQ(m(4, 6), 4.0);
+}
+
 TEST(DenseMatrix, Equality) {
   const DenseMatrix a{{1.0, 2.0}};
   const DenseMatrix b{{1.0, 2.0}};

@@ -1,9 +1,11 @@
-// Deterministic mutation fuzz of the serve wire's JSON submit frames.
+// Deterministic mutation fuzz of the serve wire's submit frames, JSON and
+// binary (MOTRACE1 record payloads).
 //
 // Serve-shaped snapshots (the serve_2000 tenants' chains: 9-12 links, a
 // 40% LIR conflict table, capacities of 1.5-5 Mb/s) are framed with
 // wire_append_submit and then mutated, RngStream-driven so every run
-// replays the same inputs: bytes inside number tokens are replaced, the
+// replays the same inputs: bytes inside JSON number tokens are replaced,
+// bits of binary payloads (counts, shapes, doubles) are flipped, the
 // frame is truncated, and the length prefix lies. Every input must decode
 // or throw std::invalid_argument (or, when it is a frame prefix, ask for
 // more bytes); never crash, read out of bounds or throw anything else,
@@ -126,10 +128,10 @@ std::string snapshot_bits(const MeasurementSnapshot& snap) {
 }
 
 std::string submit_frame(const MeasurementSnapshot& snap,
-                         std::uint32_t tenant) {
+                         std::uint32_t tenant,
+                         WireFormat format = WireFormat::kJson) {
   std::string frame;
-  wire_append_submit(frame,
-                     SubmitRequest{tenant, 7, WireFormat::kJson, snap});
+  wire_append_submit(frame, SubmitRequest{tenant, 7, format, snap});
   return frame;
 }
 
@@ -241,56 +243,96 @@ TEST(WireFuzz, ArbitraryByteFlipsDecodeOrThrow) {
 }
 
 TEST(WireFuzz, TruncatedFramesWaitOrThrow) {
-  RngStream rng(71, "wire-fuzz-truncate");
-  for (int iter = 0; iter < 4000; ++iter) {
-    const std::string frame = submit_frame(serve_snapshot(rng), 9);
-    const auto cut = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(frame.size()) - 1));
-    WireFrame out;
-    // A prefix of an honest frame is "wait for more bytes".
-    ASSERT_EQ(decode(std::string_view(frame).substr(0, cut), out),
-              Outcome::kWait)
-        << "cut " << cut;
-    // The same prefix with its length prefix made to agree: the payload
-    // is a proper prefix of a JSON object, never a document.
-    if (cut < kWireHeaderBytes) continue;
-    std::string shortened = frame.substr(0, cut);
-    set_declared_length(shortened,
-                        static_cast<std::uint32_t>(cut - kWireHeaderBytes));
-    ASSERT_EQ(decode(shortened, out), Outcome::kThrew) << "cut " << cut;
+  for (const WireFormat format : {WireFormat::kJson, WireFormat::kBinary}) {
+    RngStream rng(format == WireFormat::kJson ? 71 : 83, "wire-fuzz-truncate");
+    for (int iter = 0; iter < 4000; ++iter) {
+      const std::string frame = submit_frame(serve_snapshot(rng), 9, format);
+      const auto cut = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(frame.size()) - 1));
+      WireFrame out;
+      // A prefix of an honest frame is "wait for more bytes".
+      ASSERT_EQ(decode(std::string_view(frame).substr(0, cut), out),
+                Outcome::kWait)
+          << "cut " << cut;
+      // The same prefix with its length prefix made to agree: the payload
+      // is a proper prefix of a JSON object, never a document, or of a
+      // MOTRACE1 record, where some field or table is always cut short.
+      if (cut < kWireHeaderBytes) continue;
+      std::string shortened = frame.substr(0, cut);
+      set_declared_length(shortened,
+                          static_cast<std::uint32_t>(cut - kWireHeaderBytes));
+      ASSERT_EQ(decode(shortened, out), Outcome::kThrew) << "cut " << cut;
+    }
   }
 }
 
 TEST(WireFuzz, LyingLengthPrefixesWaitOrThrow) {
-  RngStream rng(73, "wire-fuzz-length");
-  for (int iter = 0; iter < 4000; ++iter) {
-    std::string frame = submit_frame(serve_snapshot(rng), 11);
-    const auto honest =
-        static_cast<std::int64_t>(frame.size() - kWireHeaderBytes);
-    std::int64_t lie = 0;
-    switch (rng.uniform_int(0, 2)) {
-      case 0:  // off by a little, either way
-        lie = honest + rng.uniform_int(-16, 16);
-        break;
-      case 1:  // anywhere in the payload
-        lie = rng.uniform_int(0, static_cast<int>(honest));
-        break;
-      default:  // any 32-bit value, up to far past the frame size limit
-        lie = static_cast<std::int64_t>(rng.next_u64() & 0xffffffffu);
-        break;
-    }
-    if (lie < 0) lie = 0;
-    if (lie == honest) continue;
-    set_declared_length(frame, static_cast<std::uint32_t>(lie));
-    WireFrame out;
-    const Outcome got = decode(frame, out);
-    if (lie > honest && lie <= kWireMaxPayloadBytes) {
-      ASSERT_EQ(got, Outcome::kWait) << "lie " << lie;
-    } else {
-      // Past the frame size limit, or a payload cut short: both throw.
-      ASSERT_EQ(got, Outcome::kThrew) << "lie " << lie;
+  for (const WireFormat format : {WireFormat::kJson, WireFormat::kBinary}) {
+    RngStream rng(format == WireFormat::kJson ? 73 : 89, "wire-fuzz-length");
+    for (int iter = 0; iter < 4000; ++iter) {
+      std::string frame = submit_frame(serve_snapshot(rng), 11, format);
+      const auto honest =
+          static_cast<std::int64_t>(frame.size() - kWireHeaderBytes);
+      std::int64_t lie = 0;
+      switch (rng.uniform_int(0, 2)) {
+        case 0:  // off by a little, either way
+          lie = honest + rng.uniform_int(-16, 16);
+          break;
+        case 1:  // anywhere in the payload
+          lie = rng.uniform_int(0, static_cast<int>(honest));
+          break;
+        default:  // any 32-bit value, up to far past the frame size limit
+          lie = static_cast<std::int64_t>(rng.next_u64() & 0xffffffffu);
+          break;
+      }
+      if (lie < 0) lie = 0;
+      if (lie == honest) continue;
+      set_declared_length(frame, static_cast<std::uint32_t>(lie));
+      WireFrame out;
+      const Outcome got = decode(frame, out);
+      if (lie > honest && lie <= kWireMaxPayloadBytes) {
+        ASSERT_EQ(got, Outcome::kWait) << "lie " << lie;
+      } else {
+        // Past the frame size limit, or a payload cut short: both throw.
+        ASSERT_EQ(got, Outcome::kThrew) << "lie " << lie;
+      }
     }
   }
+}
+
+TEST(WireFuzz, BinaryBitFlipsDecodeOrThrow) {
+  // Flips land anywhere in the MOTRACE1 payload: link, neighbor and LIR
+  // counts (a lying count must fail its bounds check, not drive a huge
+  // allocation or an out-of-range read), enum and integer fields, and
+  // doubles (any bit pattern is a value the decoder must carry).
+  RngStream rng(79, "wire-fuzz-binary-flips");
+  int decoded = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string frame =
+        submit_frame(serve_snapshot(rng), 13, WireFormat::kBinary);
+    const int payload = static_cast<int>(frame.size() - kWireHeaderBytes);
+    // Every fourth frame has its flips in the leading link count.
+    const int span = iter % 4 == 0 ? 4 : payload;
+    for (int k = rng.uniform_int(1, 4); k > 0; --k) {
+      const int at = rng.uniform_int(0, span - 1);
+      frame[kWireHeaderBytes + static_cast<std::size_t>(at)] ^=
+          static_cast<char>(1 << rng.uniform_int(0, 7));
+    }
+    WireFrame out;
+    std::size_t consumed = 0;
+    const Outcome got = decode(frame, out, &consumed);
+    ASSERT_NE(got, Outcome::kWait) << "iter " << iter;
+    if (got == Outcome::kDecoded) {
+      ASSERT_EQ(consumed, frame.size());
+      ASSERT_EQ(out.format, WireFormat::kBinary);
+      ++decoded;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 500);
+  EXPECT_GT(rejected, 500);
 }
 
 }  // namespace

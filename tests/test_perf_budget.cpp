@@ -171,10 +171,14 @@ TEST(PerfBudget, ServeShapedFastTierDriftRounds) {
   EXPECT_EQ(st.pivots, 385u);
   EXPECT_EQ(st.master_solves, 77u);
   EXPECT_EQ(fw_iterations, (std::vector<int>{15, 14, 11, 12}));
-  // 182, 130, 126 and 127 with the per-thread MWIS scratch; 323, 252, 232
-  // and 233 when the oracle allocated a vector per search node.
-  for (std::size_t round = 0; round < allocations.size(); ++round)
-    EXPECT_LE(allocations[round], 200u) << "round " << round;
+  // 98, 36, 30 and 31 run alone, with the column-generation master refilled
+  // in place (a warm round's rest is mostly each solve's LpSolution);
+  // 191, 130, 126 and 127 when every master build started from a fresh
+  // LpProblem; 323, 252, 232 and 233 when the pricing oracle also
+  // allocated a vector per search node.
+  EXPECT_LE(allocations[0], 110u) << "round 0";
+  for (std::size_t round = 1; round < allocations.size(); ++round)
+    EXPECT_LE(allocations[round], 40u) << "round " << round;
 }
 
 /// The pricing oracle keeps its search buffers per thread: once warm, a

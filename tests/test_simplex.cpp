@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -10,6 +11,8 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -200,6 +203,38 @@ TEST(Simplex, BealeCyclingExampleTerminatesAtOptimum) {
   const auto sol = solve_lp(lp);
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 0.05, 1e-9);
+}
+
+TEST(Simplex, DantzigPricingEntersTheFirstLargestReducedCost) {
+  // maximize c.x subject to sum(x) <= 1: the first pivot enters the
+  // column Dantzig pricing picks, and it stays the optimum. With ties the
+  // first of them enters; the candidates sit in different lanes of the
+  // blocked maximum, and in the tail past the last whole block.
+  constexpr int kVars = 19;
+  const auto entering = [](const std::vector<double>& c, SimplexIsa isa) {
+    LpProblem lp;
+    lp.num_vars = kVars;
+    lp.objective = c;
+    lp.add_row(Relation::kLe, 1.0);
+    std::fill(lp.coeffs.row(0), lp.coeffs.row(0) + kVars, 1.0);
+    LpSolver solver(isa);
+    const LpSolution sol = solver.solve(lp);
+    EXPECT_EQ(solver.pivots(), 1u);
+    for (int j = 0; j < kVars; ++j)
+      if (sol.x[static_cast<std::size_t>(j)] == 1.0) return j;
+    return -1;
+  };
+  for (const SimplexIsa isa : {SimplexIsa::kBaseline, SimplexIsa::kAvx2}) {
+    if (!simplex_isa_supported(isa)) continue;
+    std::vector<double> c(kVars, 0.5);
+    EXPECT_EQ(entering(std::vector<double>(kVars, 1.0), isa), 0);
+    c[5] = c[13] = c[18] = 2.0;
+    EXPECT_EQ(entering(c, isa), 5);
+    c[18] = 3.0;
+    EXPECT_EQ(entering(c, isa), 18);
+    c[2] = std::numeric_limits<double>::quiet_NaN();  // never enters
+    EXPECT_EQ(entering(c, isa), 18);
+  }
 }
 
 TEST(Simplex, SolverWorkspaceReuseMatchesFreshSolver) {
@@ -462,10 +497,9 @@ void expect_bit_identical(const LpProblem& lp, const char* what) {
     EXPECT_EQ(now.x[j], ref.x[j]) << what << " x[" << j << "]";
 }
 
-class BitIdentical : public ::testing::TestWithParam<int> {};
-
-TEST_P(BitIdentical, RandomMixedRelationLps) {
-  RngStream rng(static_cast<std::uint64_t>(GetParam()), "lp-bits");
+/// A random LP of every relation, some rows with negative rhs, boxed.
+LpProblem random_mixed_lp(int seed) {
+  RngStream rng(static_cast<std::uint64_t>(seed), "lp-bits");
   LpProblem lp;
   lp.num_vars = rng.uniform_int(2, 6);
   for (int j = 0; j < lp.num_vars; ++j)
@@ -486,13 +520,13 @@ TEST_P(BitIdentical, RandomMixedRelationLps) {
     c[static_cast<std::size_t>(j)] = 1.0;
     lp.add_constraint(c, Relation::kLe, 20.0);
   }
-  expect_bit_identical(lp, "random mixed LP");
+  return lp;
 }
 
-TEST_P(BitIdentical, RateRegionShapedLps) {
-  // The optimizer's base problem at fig03/fig04 scale: L link rows over
-  // (flows + K extreme points) variables plus the convex-weight equality.
-  RngStream rng(static_cast<std::uint64_t>(GetParam()) + 100, "lp-region");
+/// The optimizer's base problem at fig03/fig04 scale: L link rows over
+/// (flows + K extreme points) variables plus the convex-weight equality.
+LpProblem rate_region_lp(int seed) {
+  RngStream rng(static_cast<std::uint64_t>(seed) + 100, "lp-region");
   const int links = rng.uniform_int(4, 10);
   const int flows = rng.uniform_int(2, 5);
   const int points = rng.uniform_int(8, 60);
@@ -519,7 +553,17 @@ TEST_P(BitIdentical, RateRegionShapedLps) {
     row[static_cast<std::size_t>(f)] = 1.0;
     lp.add_constraint(row, Relation::kLe, 1.0);
   }
-  expect_bit_identical(lp, "rate-region LP");
+  return lp;
+}
+
+class BitIdentical : public ::testing::TestWithParam<int> {};
+
+TEST_P(BitIdentical, RandomMixedRelationLps) {
+  expect_bit_identical(random_mixed_lp(GetParam()), "random mixed LP");
+}
+
+TEST_P(BitIdentical, RateRegionShapedLps) {
+  expect_bit_identical(rate_region_lp(GetParam()), "rate-region LP");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitIdentical, ::testing::Range(1, 25));
@@ -982,10 +1026,25 @@ bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
   return n;
 }
 
-/// The two solvers side by side: every call goes to both, and every
-/// output is compared bitwise.
-class Differential {
+/// memcmp equality of two matrices, shapes included.
+bool same_bytes(const DenseMatrix& a, const DenseMatrix& b) {
+  const auto n = static_cast<std::size_t>(a.rows()) *
+                 static_cast<std::size_t>(a.cols());
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (n == 0 || std::memcmp(a.data(), b.data(), n * sizeof(double)) == 0);
+}
+
+/// Two solvers side by side: every call goes to both, and every output is
+/// compared bitwise. Against the dense reference kernel (Differential),
+/// or against LpSolver on another SimplexIsa (IsaDifferential), where the
+/// pivot count and the final tableau must match as well.
+template <class Reference>
+class BasicDifferential {
  public:
+  BasicDifferential() = default;
+  BasicDifferential(LpSolver solver, Reference reference)
+      : solver_(std::move(solver)), reference_(std::move(reference)) {}
+
   /// Outcomes seen so far, so suites can assert they reached both paths of
   /// solve_with_basis and a -0.0 in an output.
   int hints_accepted = 0;
@@ -994,19 +1053,28 @@ class Differential {
 
   template <class Call>
   void run(const Call& call, const std::string& what) {
-    const LpSolution a = call(sparse_);
-    const LpSolution b = call(dense_);
+    const LpSolution a = call(solver_);
+    const LpSolution b = call(reference_);
     ASSERT_EQ(a.status, b.status) << what;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a.objective),
               std::bit_cast<std::uint64_t>(b.objective))
         << what;
     EXPECT_TRUE(same_bytes(a.x, b.x)) << what << ": x";
     std::vector<double> da, db;
-    sparse_.duals(da);
-    dense_.duals(db);
+    solver_.duals(da);
+    reference_.duals(db);
     EXPECT_TRUE(same_bytes(da, db)) << what << ": duals";
-    EXPECT_TRUE(same_bytes(sparse_.basis(), dense_.basis())) << what
-                                                              << ": basis";
+    EXPECT_TRUE(same_bytes(solver_.basis(), reference_.basis()))
+        << what << ": basis";
+    if constexpr (std::is_same_v<Reference, LpSolver>) {
+      EXPECT_EQ(solver_.pivots(), reference_.pivots()) << what << ": pivots";
+      EXPECT_EQ(solver_.hint_used(), reference_.hint_used()) << what;
+      EXPECT_TRUE(same_bytes(solver_.tableau(), reference_.tableau()))
+          << what << ": tableau";
+      EXPECT_TRUE(same_bytes(solver_.reduced_costs(),
+                             reference_.reduced_costs()))
+          << what << ": reduced costs";
+    }
     negative_zero_outputs += negative_zeros(a.x) + negative_zeros(da);
   }
 
@@ -1026,15 +1094,17 @@ class Differential {
                         const std::string& what) {
     run([&](auto& s) { return s.solve_with_basis(lp, hint); },
         what + " solve_with_basis");
-    (sparse_.hint_used() ? hints_accepted : hints_rejected) += 1;
+    (solver_.hint_used() ? hints_accepted : hints_rejected) += 1;
   }
 
-  [[nodiscard]] std::vector<int> basis() const { return sparse_.basis(); }
+  [[nodiscard]] std::vector<int> basis() const { return solver_.basis(); }
 
  private:
-  LpSolver sparse_;
-  dense_reference::DenseLpSolver dense_;
+  LpSolver solver_;
+  Reference reference_;
 };
+
+using Differential = BasicDifferential<dense_reference::DenseLpSolver>;
 
 /// Fill column `col` of a clique master: the link row of single-link set
 /// `link` and the convexity row.
@@ -1067,14 +1137,15 @@ LpProblem clique_master(RngStream& rng, int links, int cols,
   return lp;
 }
 
-class SparsePivotDifferential : public ::testing::TestWithParam<int> {};
-
-TEST_P(SparsePivotDifferential, CliqueMaster) {
-  RngStream rng(static_cast<std::uint64_t>(GetParam()), "sparse-clique");
+/// The fast tier's solve sequence on a clique master: a cold solve and
+/// objective-only re-solves, a master grown by column generation, and the
+/// cross-round warm start on drifted capacities.
+template <class D>
+void clique_master_sequence(D& d, int seed) {
+  RngStream rng(static_cast<std::uint64_t>(seed), "sparse-clique");
   constexpr int kLinks = 50;
   std::vector<double> caps(kLinks);
   for (double& c : caps) c = rng.uniform(0.3, 1.0);
-  Differential d;
 
   // Full working set: solve, then a few objective-only re-solves (the
   // Frank–Wolfe oracle's sequence).
@@ -1104,6 +1175,13 @@ TEST_P(SparsePivotDifferential, CliqueMaster) {
                      "clique-drift");
 }
 
+class SparsePivotDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(SparsePivotDifferential, CliqueMaster) {
+  Differential d;
+  clique_master_sequence(d, GetParam());
+}
+
 /// A random LP wide enough for the block path: sparse rows of every
 /// relation, some with negative rhs (flipped on load, so their zeros
 /// become -0.0), and a sum row that keeps it bounded.
@@ -1126,9 +1204,11 @@ LpProblem random_sparse_lp(RngStream& rng, int vars) {
   return lp;
 }
 
-TEST_P(SparsePivotDifferential, RandomSparseLps) {
-  RngStream rng(static_cast<std::uint64_t>(GetParam()), "sparse-random");
-  Differential d;
+/// Every solve path on a random sparse LP: cold, objective-only, appended
+/// columns, and warm starts from its own, a drifted and a stale basis.
+template <class D>
+void random_sparse_sequence(D& d, int seed) {
+  RngStream rng(static_cast<std::uint64_t>(seed), "sparse-random");
   LpProblem lp = random_sparse_lp(rng, rng.uniform_int(60, 80));
   d.solve(lp, "random");
   const std::vector<int> own = d.basis();
@@ -1156,6 +1236,11 @@ TEST_P(SparsePivotDifferential, RandomSparseLps) {
       drifted.coeffs(r, j) *= rng.uniform(0.9, 1.1);
   d.solve_with_basis(drifted, hint, "random-drift");
   d.solve_with_basis(lp, own, "random-stale");
+}
+
+TEST_P(SparsePivotDifferential, RandomSparseLps) {
+  Differential d;
+  random_sparse_sequence(d, GetParam());
 }
 
 /// Degenerate shapes: rate-region rows at rhs 0 (and -0.0), duplicated and
@@ -1194,15 +1279,20 @@ LpProblem degenerate_lp(RngStream& rng, int vars) {
   return lp;
 }
 
-TEST_P(SparsePivotDifferential, DegenerateLps) {
-  RngStream rng(static_cast<std::uint64_t>(GetParam()), "sparse-degenerate");
-  Differential d;
+template <class D>
+void degenerate_sequence(D& d, int seed) {
+  RngStream rng(static_cast<std::uint64_t>(seed), "sparse-degenerate");
   LpProblem lp = degenerate_lp(rng, rng.uniform_int(60, 90));
   d.solve(lp, "degenerate");
   for (int f = 0; f < 4; ++f)
     lp.objective[static_cast<std::size_t>(f)] = rng.uniform(-0.5, 1.0);
   d.resolve_objective(lp, "degenerate");
   d.solve_with_basis(lp, d.basis(), "degenerate-own");
+}
+
+TEST_P(SparsePivotDifferential, DegenerateLps) {
+  Differential d;
+  degenerate_sequence(d, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparsePivotDifferential,
@@ -1255,10 +1345,10 @@ TEST(SparsePivotDifferential, WideningKeepsTheSignedZerosOfANarrowTableau) {
   d.resolve_with_added_columns(lp, "widened");
 }
 
-TEST(SparsePivotDifferential, ReachesEveryOutcome) {
-  // The suite above is only as strong as the cases it reaches: both
-  // outcomes of solve_with_basis, and -0.0 values in x or the duals.
-  Differential d;
+/// Solves that reach both outcomes of solve_with_basis and -0.0 values in
+/// x or the duals.
+template <class D>
+void outcome_sequence(D& d) {
   for (int seed = 1; seed <= 40; ++seed) {
     RngStream rng(static_cast<std::uint64_t>(seed), "sparse-outcomes");
     LpProblem lp = random_sparse_lp(rng, 64);
@@ -1272,6 +1362,67 @@ TEST(SparsePivotDifferential, ReachesEveryOutcome) {
   EXPECT_GT(d.hints_accepted, 0);
   EXPECT_GT(d.hints_rejected, 0);
   EXPECT_GT(d.negative_zero_outputs, 0);
+}
+
+TEST(SparsePivotDifferential, ReachesEveryOutcome) {
+  // The suite above is only as strong as the cases it reaches.
+  Differential d;
+  outcome_sequence(d);
+}
+
+// ------------------------------------------------------------------------
+// Both ISA variants of the solve path (SimplexIsa): the AVX2 copy must
+// take the baseline's pivots and leave its tableau byte for byte, on the
+// generators of both differentials above (the column-generation master
+// grown by resolve_with_added_columns and the solve_with_basis crash
+// included). Skipped where the build or the CPU has no AVX2 variant.
+
+TEST(SimplexIsa, DefaultIsTheWidestSupported) {
+  EXPECT_TRUE(simplex_isa_supported(SimplexIsa::kBaseline));
+  const bool avx2 = simplex_isa_supported(SimplexIsa::kAvx2);
+  EXPECT_EQ(simplex_default_isa(),
+            avx2 ? SimplexIsa::kAvx2 : SimplexIsa::kBaseline);
+  EXPECT_EQ(LpSolver().isa(), simplex_default_isa());
+  EXPECT_EQ(LpSolver(SimplexIsa::kBaseline).isa(), SimplexIsa::kBaseline);
+  if (!avx2) EXPECT_THROW(LpSolver{SimplexIsa::kAvx2}, std::invalid_argument);
+}
+
+using IsaDifferential = BasicDifferential<LpSolver>;
+
+class SimplexIsaOutcomes : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!simplex_isa_supported(SimplexIsa::kAvx2))
+      GTEST_SKIP() << "no AVX2 variant in this build or on this CPU";
+  }
+  static IsaDifferential make() {
+    return IsaDifferential(LpSolver(SimplexIsa::kAvx2),
+                           LpSolver(SimplexIsa::kBaseline));
+  }
+};
+
+class SimplexIsaDifferential : public SimplexIsaOutcomes,
+                               public ::testing::WithParamInterface<int> {};
+
+TEST_P(SimplexIsaDifferential, BitIdenticalGenerators) {
+  IsaDifferential d = make();
+  d.solve(random_mixed_lp(GetParam()), "random mixed LP");
+  d.solve(rate_region_lp(GetParam()), "rate-region LP");
+}
+
+TEST_P(SimplexIsaDifferential, SparsePivotSequences) {
+  IsaDifferential d = make();
+  clique_master_sequence(d, GetParam());
+  random_sparse_sequence(d, GetParam());
+  degenerate_sequence(d, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimplexIsaDifferential,
+                         ::testing::Range(1, 41));
+
+TEST_F(SimplexIsaOutcomes, ReachesEveryOutcome) {
+  IsaDifferential d = make();
+  outcome_sequence(d);
 }
 
 }  // namespace
