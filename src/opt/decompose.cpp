@@ -27,12 +27,15 @@ struct CompWork {
   ColumnGenOptimizer* warm = nullptr;  ///< entry-owned or `cold`
   std::unique_ptr<ColumnGenOptimizer> cold;
   std::uint64_t pricing_before = 0;
+  std::uint64_t masters_before = 0;
 
   // Exact tier.
   LpProblem lp;  ///< joint-FW oracle constraint set
   int region_rows = 0;
 
   OptimizerResult result;  ///< final (kMT/kMM) or FW starting point
+  std::uint64_t pivots_before = 0;  ///< the component solvers' pivots at
+                                    ///< the start of the round
 
   // Wall-clock enrichment of the component's phase-A job (0 unless the
   // attached recorder enables wall_clock). Written by the job, read by the
@@ -221,9 +224,12 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
       w.warm->set_observer(slot.planner.observer());
       w.warm->config() = cfg.optimizer;
       w.pricing_before = w.warm->stats().pricing_rounds;
+      w.masters_before = w.warm->stats().master_solves;
+      w.pivots_before = w.warm->stats().pivots;
       w.result = concave ? w.warm->begin_fw_round(w.cg_in)
                          : w.warm->solve(w.cg_in);
     } else {
+      w.pivots_before = slot.exact.pivots() + slot.oracle_lp.pivots();
       OptimizerInput in;
       in.routing = std::move(routing);
       in.extreme_points = m.extreme_points();
@@ -426,6 +432,17 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
     int region = 0;
     for (const CompWork& w : works) region += w.region_rows;
     plan.extreme_points = region;
+  }
+  for (const CompWork& w : works) {
+    if (fast) {
+      stats_.pivots += w.warm->stats().pivots - w.pivots_before;
+      stats_.master_solves += w.warm->stats().master_solves - w.masters_before;
+    } else {
+      const Slot& slot = *slots_[static_cast<std::size_t>(
+          flow_comp[w.flow_ids.front()])];
+      stats_.pivots +=
+          slot.exact.pivots() + slot.oracle_lp.pivots() - w.pivots_before;
+    }
   }
   plan.y = y;
   plan.x.resize(num_flows, 0.0);

@@ -104,6 +104,9 @@ struct DecomposeStats {
                                           ///< over decomposed rounds
   std::uint64_t partition_rebuilds = 0;   ///< component slots torn down by
                                           ///< a changed partition
+  std::uint64_t pivots = 0;  ///< simplex pivots of decomposed rounds
+  std::uint64_t master_solves = 0;  ///< fast tier: restricted-master solves
+                                    ///< of decomposed rounds
 };
 
 /// Per-component planning front end; plug-compatible with Planner::plan.

@@ -26,6 +26,7 @@
 #include "model/conflict_graph.h"
 #include "model/feasibility.h"
 #include "opt/column_gen.h"
+#include "opt/decompose.h"
 #include "opt/network_optimizer.h"
 #include "scenario/topologies.h"
 #include "serve/wire.h"
@@ -115,6 +116,68 @@ TEST(PerfBudget, ExactTierProportionalFairSolve) {
   NetworkOptimizer opt(cfg);
   ASSERT_TRUE(opt.solve(in).ok);
   EXPECT_EQ(opt.pivots(), 338u);
+}
+
+OptimizerInput city_cluster_exact_input() {
+  const CityCluster c = city_cluster();
+  const ConflictGraph graph =
+      build_lir_conflict_graph(c.sub.lir, c.sub.lir_threshold);
+  OptimizerInput in;
+  in.routing = c.routing;
+  in.extreme_points = build_extreme_point_matrix(c.sub.capacities(), graph);
+  return in;
+}
+
+TEST(PerfBudget, ExactTierMaxMinSolve) {
+  OptimizerConfig cfg;
+  cfg.objective = Objective::kMaxMin;
+  NetworkOptimizer opt(cfg);
+  ASSERT_TRUE(opt.solve(city_cluster_exact_input()).ok);
+  EXPECT_EQ(opt.pivots(), 281u);
+}
+
+TEST(PerfBudget, ExactTierAlphaFairSolve) {
+  OptimizerConfig cfg;
+  cfg.objective = Objective::kAlphaFair;
+  cfg.alpha = 2.0;
+  NetworkOptimizer opt(cfg);
+  const OptimizerResult r = opt.solve(city_cluster_exact_input());
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(opt.pivots(), 341u);
+  EXPECT_EQ(r.iterations, 8);
+}
+
+/// One cold decomposed proportional-fairness round per tier over the
+/// whole 50-link-per-cluster city: the component max-min starts, then
+/// the joint Frank–Wolfe with one linear oracle per component.
+TEST(PerfBudget, DecomposedCityProportionalFairRound) {
+  CityParams p;
+  p.links_per_cluster = 50;
+  const MeasurementSnapshot city = build_city_snapshot(p);
+  const std::vector<FlowSpec> flows = city_flows(p);
+  struct Pin {
+    PlanTier tier;
+    std::uint64_t pivots;
+    std::uint64_t master_solves;
+    int fw_iterations;
+  };
+  for (const Pin& pin : {Pin{PlanTier::kExact, 1362u, 0u, 9},
+                         Pin{PlanTier::kFast, 1362u, 60u, 9}}) {
+    PlanConfig cfg;
+    cfg.optimizer.objective = Objective::kProportionalFair;
+    cfg.tier = pin.tier;
+    DecomposedPlanner planner;
+    const RatePlan plan =
+        planner.plan(city, InterferenceModelKind::kLirTable, flows, cfg);
+    const bool fast = pin.tier == PlanTier::kFast;
+    ASSERT_TRUE(plan.ok) << "fast " << fast;
+    EXPECT_EQ(planner.stats().decomposed_rounds, 1u) << "fast " << fast;
+    EXPECT_EQ(planner.stats().pivots, pin.pivots) << "fast " << fast;
+    EXPECT_EQ(planner.stats().master_solves, pin.master_solves)
+        << "fast " << fast;
+    EXPECT_EQ(plan.optimizer_iterations, pin.fw_iterations)
+        << "fast " << fast;
+  }
 }
 
 /// A serve_2000-shaped tenant snapshot: 11 chain links whose LIR table

@@ -13,7 +13,12 @@
 // objective values at 17 significant digits; compared at 1e-9 relative
 // tolerance to absorb cross-arch drift. Regenerate with
 //   MESHOPT_REGEN_GOLDEN=1 ./test_plan_tiers
+//
+// The bit pins at the end hold exact 64-bit digests of whole plans (both
+// tiers, monolithic and decomposed, every objective) and of one traced
+// decomposed round: any change to the optimizer's arithmetic moves them.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -31,6 +36,7 @@
 #include "core/snapshot.h"
 #include "obs/obs.h"
 #include "opt/column_gen.h"
+#include "opt/decompose.h"
 #include "probe/live_source.h"
 #include "scenario/topologies.h"
 #include "scenario/workbench.h"
@@ -542,6 +548,139 @@ TEST(PlanTiers, GoldenFastTierObjectives) {
     EXPECT_NEAR(computed[i].objective, want, 1e-9 * std::abs(want))
         << computed[i].name;
   }
+}
+
+// ------------------------------------------------------------- bit pins
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+std::uint64_t plan_digest(const RatePlan& p) {
+  Digest d;
+  d.add(static_cast<std::uint64_t>(p.y.size()));
+  for (const double v : p.y) d.add(v);
+  for (const double v : p.x) d.add(v);
+  d.add(p.objective_value);
+  d.add(static_cast<std::uint64_t>(p.optimizer_iterations));
+  return d.h;
+}
+
+/// Three 5-link gateway clusters and two bridge links: 5 interference
+/// components, 3 of them carrying flows.
+CityParams small_city() {
+  CityParams p;
+  p.clusters = 3;
+  p.links_per_cluster = 5;
+  p.bridge_links = 2;
+  p.flows_per_cluster = 2;
+  p.seed = 7;
+  return p;
+}
+
+TEST(PlanTiers, SmallCityPlanBitsPinned) {
+  // objective x tier x {Planner, DecomposedPlanner}: a cold round, then
+  // a warm one on drifted capacities, both in one digest. No golden
+  // covers these paths bit for bit (the decomposition tests compare with
+  // the monolithic plan only to 1e-9). On these clique clusters the fast
+  // tier's seed columns are the whole region, so both decomposed tiers
+  // solve the same LPs.
+  struct Pin {
+    const char* name;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"mono/exact/maxthru", 0x8074fc6267f6a38cull},
+      {"mono/exact/pf", 0xb97dca16b421a3bdull},
+      {"mono/exact/maxmin", 0x24e917458bd8cebdull},
+      {"mono/exact/alpha2", 0x97faf3d26048399cull},
+      {"mono/fast/maxthru", 0x74b0b9b2c9a26448ull},
+      {"mono/fast/pf", 0x6fb1b2edfbd1870dull},
+      {"mono/fast/maxmin", 0x218d14c1798731beull},
+      {"mono/fast/alpha2", 0x7fa306e08cd7448cull},
+      {"decomp/exact/maxthru", 0x9496035f66d47616ull},
+      {"decomp/exact/pf", 0xb1621a59be6e0c71ull},
+      {"decomp/exact/maxmin", 0x5a1b7f0c530434baull},
+      {"decomp/exact/alpha2", 0x3047cd5e995cd9ccull},
+      {"decomp/fast/maxthru", 0x9496035f66d47616ull},
+      {"decomp/fast/pf", 0xb1621a59be6e0c71ull},
+      {"decomp/fast/maxmin", 0x5a1b7f0c530434baull},
+      {"decomp/fast/alpha2", 0x3047cd5e995cd9ccull},
+  };
+  const CityParams p = small_city();
+  const MeasurementSnapshot cold = build_city_snapshot(p);
+  MeasurementSnapshot drifted = cold;
+  for (std::size_t l = 0; l < drifted.links.size(); ++l)
+    drifted.links[l].estimate.capacity_bps *= 1.0 + 0.01 * (l % 3);
+  const MeasurementSnapshot* rounds[] = {&cold, &drifted};
+  const std::vector<FlowSpec> flows = city_flows(p);
+  std::size_t i = 0;
+  for (const bool decomposed : {false, true}) {
+    for (const PlanTier tier : {PlanTier::kExact, PlanTier::kFast}) {
+      for (const ObjectiveCase& oc : objective_cases()) {
+        PlanConfig cfg;
+        cfg.optimizer = oc.cfg;
+        cfg.tier = tier;
+        const Pin& pin = pins[i++];
+        DecomposedPlanner decomposed_planner;
+        Planner planner(4);
+        Digest d;
+        for (const MeasurementSnapshot* snap : rounds) {
+          const RatePlan plan =
+              decomposed ? decomposed_planner.plan(
+                               *snap, InterferenceModelKind::kLirTable, flows,
+                               cfg)
+                         : planner.plan(*snap, InterferenceModelKind::kLirTable,
+                                        flows, cfg);
+          ASSERT_TRUE(plan.ok) << pin.name;
+          d.add(plan_digest(plan));
+        }
+        if (decomposed)
+          EXPECT_EQ(decomposed_planner.stats().decomposed_rounds, 2u);
+        EXPECT_EQ(d.h, pin.digest) << pin.name << ": 0x" << std::hex << d.h;
+      }
+    }
+  }
+}
+
+TEST(PlanTiers, DecomposedFastTierTraceBitsPinned) {
+  // The deterministic fields of every record one observed decomposed
+  // fast-tier PF round emits: cache and model records of each component
+  // planner and one kComponentSolve span per active component.
+  const CityParams p = small_city();
+  DecomposedPlanner planner;
+  TraceRecorder recorder;
+  planner.set_observer(&recorder);
+  recorder.set_context(0, 0);
+  PlanConfig cfg;
+  cfg.optimizer.objective = Objective::kProportionalFair;
+  cfg.tier = PlanTier::kFast;
+  ASSERT_TRUE(planner
+                  .plan(build_city_snapshot(p),
+                        InterferenceModelKind::kLirTable, city_flows(p), cfg)
+                  .ok);
+  const std::vector<ObsRecord> records = recorder.canonical_records(false);
+  Digest d;
+  for (const ObsRecord& r : records) {
+    d.add(r.round);
+    d.add(static_cast<std::uint64_t>(r.lane));
+    d.add(static_cast<std::uint64_t>(r.seq));
+    d.add(static_cast<std::uint64_t>(r.stage));
+    d.add(static_cast<std::uint64_t>(r.kind));
+    d.add(static_cast<std::uint64_t>(r.code));
+    d.add(r.a);
+    d.add(r.b);
+  }
+  EXPECT_EQ(records.size(), 9u);
+  EXPECT_EQ(d.h, 0x6a6be97f9e966874ull) << "0x" << std::hex << d.h;
 }
 
 }  // namespace
