@@ -126,14 +126,14 @@ LpSolver::LpSolver(SimplexIsa isa) : isa_(isa) {
 // Each solve entry picks the variant once; it then runs the whole solve,
 // its fallbacks to a cold solve included.
 
-LpSolution LpSolver::solve(const LpProblem& problem) {
+const LpSolution& LpSolver::solve(const LpProblem& problem) {
 #if MESHOPT_SIMPLEX_AVX2
   if (isa_ == SimplexIsa::kAvx2) return simplex_avx2::solve(s_, problem);
 #endif
   return simplex_baseline::solve(s_, problem);
 }
 
-LpSolution LpSolver::resolve_objective(const LpProblem& problem) {
+const LpSolution& LpSolver::resolve_objective(const LpProblem& problem) {
 #if MESHOPT_SIMPLEX_AVX2
   if (isa_ == SimplexIsa::kAvx2)
     return simplex_avx2::resolve_objective(s_, problem);
@@ -141,7 +141,8 @@ LpSolution LpSolver::resolve_objective(const LpProblem& problem) {
   return simplex_baseline::resolve_objective(s_, problem);
 }
 
-LpSolution LpSolver::resolve_with_added_columns(const LpProblem& problem) {
+const LpSolution& LpSolver::resolve_with_added_columns(
+    const LpProblem& problem) {
 #if MESHOPT_SIMPLEX_AVX2
   if (isa_ == SimplexIsa::kAvx2)
     return simplex_avx2::resolve_with_added_columns(s_, problem);
@@ -149,8 +150,8 @@ LpSolution LpSolver::resolve_with_added_columns(const LpProblem& problem) {
   return simplex_baseline::resolve_with_added_columns(s_, problem);
 }
 
-LpSolution LpSolver::solve_with_basis(const LpProblem& problem,
-                                      const std::vector<int>& hint) {
+const LpSolution& LpSolver::solve_with_basis(
+    const LpProblem& problem, const std::vector<int>& hint) {
 #if MESHOPT_SIMPLEX_AVX2
   if (isa_ == SimplexIsa::kAvx2)
     return simplex_avx2::solve_with_basis(s_, problem, hint);

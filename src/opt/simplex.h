@@ -97,7 +97,8 @@ struct LpProblem {
 };
 
 /// Result of an LP solve. `x` and `objective` are meaningful only when
-/// status == kOptimal.
+/// status == kOptimal. LpSolver returns its own copy by reference, refilled
+/// in place by the next solve on that solver.
 struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
   double objective = 0.0;         ///< objective . x at the optimum
@@ -155,6 +156,7 @@ struct LpState {
   bool obj_neg_zero = false;   ///< the same for the reduced-cost row
   std::vector<int> nz_blocks;  ///< first column of each nonzero 8-double
                                ///< block of the pivot row (scratch)
+  LpSolution sol;              ///< result of the most recent solve
 };
 
 }  // namespace simplex_detail
@@ -191,7 +193,9 @@ class LpSolver {
   ///       (guaranteed by the LpProblem builders).
   /// @post on kOptimal: solution.x.size() == num_vars, x >= 0, and
   ///       solution.objective == objective . x recomputed in input scale.
-  [[nodiscard]] LpSolution solve(const LpProblem& problem);
+  /// @post the returned solution is the solver's own, valid until the next
+  ///       solve of any kind on this solver (copy it to keep it longer).
+  [[nodiscard]] const LpSolution& solve(const LpProblem& problem);
 
   /// Warm re-solve: re-optimize under a NEW objective over the SAME
   /// constraints as the previous solve() / resolve_objective() call,
@@ -210,7 +214,7 @@ class LpSolver {
   ///       objective value up to floating-point associativity; a
   ///       different-but-equally-optimal vertex may be reported when the
   ///       optimum face is degenerate).
-  [[nodiscard]] LpSolution resolve_objective(const LpProblem& problem);
+  [[nodiscard]] const LpSolution& resolve_objective(const LpProblem& problem);
 
   /// Warm re-solve after the caller APPENDED variables to the previously
   /// solved problem (LpProblem::append_vars + coefficient fill). The new
@@ -225,7 +229,8 @@ class LpSolver {
   ///       variables (unchecked, caller-owned), objective may differ.
   ///       Shape mismatches fall back to a cold solve().
   /// @post same as solve().
-  [[nodiscard]] LpSolution resolve_with_added_columns(const LpProblem& problem);
+  [[nodiscard]] const LpSolution& resolve_with_added_columns(
+      const LpProblem& problem);
 
   /// Cold-structure solve that tries to start phase 2 from a caller
   /// provided basis — typically `basis()` captured from an earlier solve
@@ -235,8 +240,8 @@ class LpSolver {
   /// restored basis is infeasible for the new coefficients, the solve
   /// silently falls back to the cold two-phase path, so the result is
   /// always a true optimum of `problem`.
-  [[nodiscard]] LpSolution solve_with_basis(const LpProblem& problem,
-                                            const std::vector<int>& hint);
+  [[nodiscard]] const LpSolution& solve_with_basis(
+      const LpProblem& problem, const std::vector<int>& hint);
 
   /// Whether the most recent solve_with_basis() started phase 2 from its
   /// hint (true) or fell back to the cold two-phase path (false).
