@@ -22,15 +22,12 @@ RatePlan plan_rates(const MeasurementSnapshot& snapshot,
     return plan;
   }
 
+  const FlowHops hops(snapshot, flows);
   DenseMatrix routing(static_cast<int>(snapshot.links.size()),
                       static_cast<int>(flows.size()));
-  for (std::size_t s = 0; s < flows.size(); ++s) {
-    const auto& path = flows[s].path;
-    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-      const int l = snapshot.link_index(path[h], path[h + 1]);
+  for (std::size_t s = 0; s < flows.size(); ++s)
+    for (const int l : hops[s])
       if (l >= 0) routing(l, static_cast<int>(s)) = 1.0;
-    }
-  }
 
   OptimizerResult opt;
   if (cfg.tier == PlanTier::kFast) {
@@ -58,33 +55,53 @@ RatePlan plan_rates(const MeasurementSnapshot& snapshot,
   }
   if (!opt.ok) return RatePlan{};
 
-  plan.ok = true;
   plan.optimizer_iterations = opt.iterations;
   plan.tier = cfg.tier;
   plan.objective_value = opt.objective_value;
   plan.columns_generated = opt.columns_used;
   plan.pricing_rounds = opt.pricing_rounds;
-  plan.y = opt.y;
-  plan.x.resize(flows.size(), 0.0);
-  plan.shapers.reserve(flows.size());
+  finish_plan(plan, snapshot, flows, hops, cfg, std::move(opt.y));
+  return plan;
+}
 
+FlowHops::FlowHops(const MeasurementSnapshot& snapshot,
+                   const std::vector<FlowSpec>& flows) {
+  begin_.reserve(flows.size() + 1);
+  begin_.push_back(0);
+  std::size_t total = 0;
+  for (const FlowSpec& f : flows)
+    total += f.path.empty() ? 0 : f.path.size() - 1;
+  link_.reserve(total);
+  for (const FlowSpec& f : flows) {
+    for (std::size_t h = 0; h + 1 < f.path.size(); ++h)
+      link_.push_back(snapshot.link_index(f.path[h], f.path[h + 1]));
+    begin_.push_back(link_.size());
+  }
+}
+
+void finish_plan(RatePlan& plan, const MeasurementSnapshot& snapshot,
+                 const std::vector<FlowSpec>& flows, const FlowHops& hops,
+                 const PlanConfig& cfg, std::vector<double> y) {
+  plan.ok = true;
+  plan.y = std::move(y);
+  plan.x.assign(flows.size(), 0.0);
+  plan.shapers.clear();
+  plan.shapers.reserve(flows.size());
   for (std::size_t s = 0; s < flows.size(); ++s) {
     const FlowSpec& f = flows[s];
     // Residual network-layer loss after MAC retries: p_net = p_link^R.
     double deliver = 1.0;
-    for (std::size_t h = 0; h + 1 < f.path.size(); ++h) {
-      const int li = snapshot.link_index(f.path[h], f.path[h + 1]);
+    for (const int li : hops[s]) {
       if (li < 0) continue;
       const SnapshotLink& link = snapshot.links[static_cast<std::size_t>(li)];
       deliver *= 1.0 - std::pow(link.estimate.p_link, link.retry_limit);
     }
-    double x = opt.y[s] / std::max(deliver, 1e-3);
+    double x = plan.y[s] / std::max(deliver, 1e-3);
     if (f.is_tcp) x *= tcp_ack_airtime_factor();
     x *= cfg.headroom;
     plan.x[s] = x;
     plan.shapers.push_back(ShaperProgram{f.flow_id, x});
   }
-  return plan;
 }
 
 }  // namespace meshopt

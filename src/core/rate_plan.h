@@ -8,6 +8,8 @@
 // property the snapshot-replay tests and the multi-threaded
 // ControllerFleet driver rely on.
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/interference.h"
@@ -98,5 +100,29 @@ struct RatePlan {
                                   const std::vector<FlowSpec>& flows,
                                   const PlanConfig& cfg,
                                   ColumnGenOptimizer* warm);
+
+/// Every flow's hops resolved to snapshot link indices, once per round
+/// (-1: a hop the snapshot does not model).
+class FlowHops {
+ public:
+  FlowHops(const MeasurementSnapshot& snapshot,
+           const std::vector<FlowSpec>& flows);
+  /// The hops of flow `s`, in path order.
+  [[nodiscard]] std::span<const int> operator[](std::size_t s) const {
+    return {link_.data() + begin_[s], begin_[s + 1] - begin_[s]};
+  }
+
+ private:
+  std::vector<std::size_t> begin_;  ///< flows + 1 offsets into link_
+  std::vector<int> link_;
+};
+
+/// The plan tail both planners share: set plan.ok and plan.y = y, then
+/// turn each output rate into the input rate its shaper is programmed
+/// with: compensate the residual network-layer loss after MAC retries,
+/// discount TCP flows for their ACK airtime, and apply cfg.headroom.
+void finish_plan(RatePlan& plan, const MeasurementSnapshot& snapshot,
+                 const std::vector<FlowSpec>& flows, const FlowHops& hops,
+                 const PlanConfig& cfg, std::vector<double> y);
 
 }  // namespace meshopt

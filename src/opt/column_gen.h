@@ -29,10 +29,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "model/conflict_graph.h"
 #include "opt/network_optimizer.h"
+#include "opt/rate_region.h"
 #include "opt/simplex.h"
 #include "util/dense_matrix.h"
 
@@ -130,8 +132,10 @@ void extend_to_maximal_independent_set(const ConflictGraph& graph,
                                        std::vector<std::uint64_t>& bits);
 
 /// Reusable column-generation solver for the paper's utility maximization
-/// — the fast-tier twin of NetworkOptimizer, same objectives, same result
-/// semantics. Persistent warm state carries across solve() calls: the
+/// — the fast-tier twin of NetworkOptimizer: the same routines
+/// (optimize_region, opt/rate_region.h) over the priced restricted master
+/// instead of the full extreme-point LP, with the same result semantics.
+/// Persistent warm state carries across solve() calls: the
 /// working column set survives verbatim and the final optimal basis is
 /// re-used when the next solve's first master has the same shape, so a
 /// planner replaying a drifting-capacity trace pays the pricing oracle
@@ -163,22 +167,13 @@ class ColumnGenOptimizer {
   /// (a different topology, not just drifted capacities).
   void reset();
 
-  /// Split-phase Frank–Wolfe support for the decomposition tier's JOINT
-  /// FW loop (opt/decompose.h): the global iterate and line search live
-  /// in the caller, while each component's linear oracle is priced here.
-  /// begin_fw_round validates the input, seeds/keeps the working set,
-  /// runs the internal max-min starting point, and builds the FW master;
-  /// the returned result is that starting point (ok == false on
-  /// degenerate input — skip the round). Call fw_oracle once per FW
-  /// iteration with the gradient over this input's flows (`first` on the
-  /// iteration that should try the carried warm basis), then
-  /// end_fw_round() to save the final basis for the next round. A plain
-  /// solve() may be interleaved only after end_fw_round.
-  [[nodiscard]] OptimizerResult begin_fw_round(const ColumnGenInput& input);
-  [[nodiscard]] LpSolution fw_oracle(const ColumnGenInput& input,
-                                     const std::vector<double>& grad,
-                                     bool first);
-  void end_fw_round();
+  /// The restricted master over `input` as a rate region, for a caller
+  /// that drives the optimizer routines itself over several regions (the
+  /// decomposition tier's joint Frank–Wolfe, opt/decompose.h). Validates
+  /// `input` as solve() does, counts a solve, and seeds or keeps the
+  /// working set; nullptr on an empty dimension. The region borrows
+  /// `input` and stays valid until the next region()/solve()/reset().
+  [[nodiscard]] RateRegionLp* region(const ColumnGenInput& input);
 
   [[nodiscard]] const MisRowSet& columns() const { return columns_; }
   [[nodiscard]] const ColumnGenStats& stats() const { return stats_; }
@@ -202,33 +197,35 @@ class ColumnGenOptimizer {
     int flows = 0;
     double scale = 1.0;  ///< capacities normalized by this for conditioning
   };
-  enum class Start : std::uint8_t { kCold, kWarmBasis, kResolveObjective };
+  /// The priced master: every solve prices columns in until none has a
+  /// positive reduced cost; kCarried offers the basis carry() saved.
+  class Region final : public RateRegionLp {
+   public:
+    Region(ColumnGenOptimizer& cg, const ColumnGenInput& in, Shape s)
+        : RateRegionLp(cg.master_, s.flows, s.scale), cg_(cg), in_(in),
+          s_(s) {}
+    LpProblem& build(int extra_vars) override;
+    const LpSolution& solve(LpStart start) override;
+    void carry() override;
+
+   private:
+    ColumnGenOptimizer& cg_;
+    const ColumnGenInput& in_;
+    Shape s_;
+  };
 
   void seed_columns(const ColumnGenInput& in);
   [[nodiscard]] bool has_column(const std::vector<std::uint64_t>& bits) const;
-  void build_master(const ColumnGenInput& in, const Shape& s, int extra_vars);
   int append_column_to_master(const std::vector<std::uint64_t>& bits,
                               const ColumnGenInput& in, const Shape& s);
   [[nodiscard]] bool price_one(const ColumnGenInput& in, const Shape& s);
-  [[nodiscard]] LpSolution cg_solve(const ColumnGenInput& in, const Shape& s,
-                                    Start start);
-  void save_basis();
-  [[nodiscard]] OptimizerResult unpack(const LpSolution& sol, const Shape& s);
-
-  [[nodiscard]] OptimizerResult solve_max_throughput(const ColumnGenInput& in,
-                                                     const Shape& s);
-  [[nodiscard]] OptimizerResult solve_max_min(const ColumnGenInput& in,
-                                              const Shape& s);
-  [[nodiscard]] OptimizerResult solve_alpha_fair(const ColumnGenInput& in,
-                                                 const Shape& s, double alpha,
-                                                 int iterations,
-                                                 double tolerance);
+  [[nodiscard]] const LpSolution& cg_solve(const ColumnGenInput& in,
+                                           const Shape& s, LpStart start);
 
   OptimizerConfig cfg_;
   ColumnGenConfig cg_;
   LpSolver lp_;           ///< shared simplex workspace across all solves
-  LpProblem master_;      ///< restricted master, rebuilt per phase
-  int convexity_row_ = 0; ///< row index of the sum(alpha) == 1 constraint
+  LpProblem master_;      ///< restricted master, refilled per build
 
   MisRowSet columns_;       ///< working set, admission order (warm state)
   std::vector<int> warm_basis_;  ///< optimal basis of the last final master
@@ -238,8 +235,7 @@ class ColumnGenOptimizer {
   ColumnGenStats stats_;
   TraceRecorder* obs_ = nullptr;  ///< borrowed; see set_observer()
   int solve_pricing_rounds_ = 0;  ///< pricing rounds in the current solve()
-  Shape fw_shape_;        ///< shape of the split-phase FW round in flight
-  bool fw_last_ok_ = false;  ///< last fw_oracle solved to optimality
+  std::optional<Region> region_;  ///< the last region() handed out
 
   // Per-solve scratch, reused across calls.
   std::vector<double> duals_;

@@ -1,14 +1,14 @@
 #include "opt/decompose.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/obs.h"
-#include "opt/utility.h"
+#include "opt/rate_region.h"
 
 namespace meshopt {
 
@@ -30,8 +30,13 @@ struct CompWork {
   std::uint64_t masters_before = 0;
 
   // Exact tier.
-  LpProblem lp;  ///< joint-FW oracle constraint set
-  int region_rows = 0;
+  OptimizerInput exact_in;
+  std::optional<ExactRegion> exact;
+
+  /// Concave objectives: the region answering this component's share of
+  /// the joint Frank–Wolfe oracle, and whether its last answer was optimal.
+  RateRegionLp* region = nullptr;
+  bool oracle_ok = false;
 
   OptimizerResult result;  ///< final (kMT/kMM) or FW starting point
   std::uint64_t pivots_before = 0;  ///< the component solvers' pivots at
@@ -95,22 +100,10 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
     return fallback_plan(snap, kind, flows, cfg, mis_cap, cacheable,
                          &DecomposeStats::fallback_connected);
 
-  // Resolve every flow's hops to global link ids once (-1: unmodeled
-  // hop). Assignment, per-component routing and the loss tail all read
-  // these instead of scanning the link list per hop.
+  // Resolve every flow's hops to global link ids once. Assignment,
+  // per-component routing and the plan tail all read these.
   const std::size_t num_flows = flows.size();
-  std::vector<std::size_t> hop_begin(num_flows + 1, 0);
-  std::vector<int> hop_link;
-  for (std::size_t s = 0; s < num_flows; ++s) {
-    const auto& path = flows[s].path;
-    for (std::size_t h = 0; h + 1 < path.size(); ++h)
-      hop_link.push_back(snap.link_index(path[h], path[h + 1]));
-    hop_begin[s + 1] = hop_link.size();
-  }
-  const auto hops = [&](std::size_t s) {
-    return std::span<const int>(hop_link.data() + hop_begin[s],
-                                hop_begin[s + 1] - hop_begin[s]);
-  };
+  const FlowHops hops(snap, flows);
 
   // Assign each flow to the one component its modeled links live in. The
   // decomposition is exact only when flows never straddle components.
@@ -118,7 +111,7 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
   for (std::size_t s = 0; s < num_flows; ++s) {
     int comp = -1;
     bool single = true;
-    for (const int l : hops(s)) {
+    for (const int l : hops[s]) {
       if (l < 0) continue;
       const int c = part.component_of[static_cast<std::size_t>(l)];
       if (comp < 0)
@@ -203,7 +196,7 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
     // id's position in members is its local index.
     DenseMatrix routing(sub_links, sub_flows);
     for (int i = 0; i < sub_flows; ++i) {
-      for (const int g : hops(w.flow_ids[static_cast<std::size_t>(i)])) {
+      for (const int g : hops[w.flow_ids[static_cast<std::size_t>(i)]]) {
         if (g < 0) continue;
         const auto it =
             std::lower_bound(slot.members.begin(), slot.members.end(), g);
@@ -226,27 +219,26 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
       w.pricing_before = w.warm->stats().pricing_rounds;
       w.masters_before = w.warm->stats().master_solves;
       w.pivots_before = w.warm->stats().pivots;
-      w.result = concave ? w.warm->begin_fw_round(w.cg_in)
-                         : w.warm->solve(w.cg_in);
+      if (concave)
+        w.region = w.warm->region(w.cg_in);
+      else
+        w.result = w.warm->solve(w.cg_in);
     } else {
-      w.pivots_before = slot.exact.pivots() + slot.oracle_lp.pivots();
-      OptimizerInput in;
-      in.routing = std::move(routing);
-      in.extreme_points = m.extreme_points();
-      in.scale_override = sigma;
-      w.region_rows = in.extreme_points.rows();
-      if (concave) {
-        // The monolithic concave solve starts from max-min; mirror that
-        // per component, then keep the constraint set for the oracle.
-        OptimizerConfig start_cfg = cfg.optimizer;
-        start_cfg.objective = Objective::kMaxMin;
-        slot.exact.config() = start_cfg;
-        w.result = slot.exact.solve(in);
-        w.lp = build_rate_region_lp(in, sigma);
-      } else {
-        slot.exact.config() = cfg.optimizer;
-        w.result = slot.exact.solve(in);
-      }
+      w.pivots_before = slot.lp.pivots();
+      w.exact_in.routing = std::move(routing);
+      w.exact_in.extreme_points = m.extreme_points();
+      w.exact_in.scale_override = sigma;
+      w.exact.emplace(w.exact_in, slot.lp, slot.problem);
+      if (concave)
+        w.region = &*w.exact;
+      else
+        w.result = optimize_region(*w.exact, cfg.optimizer);
+    }
+    // The monolithic concave solve starts from max-min; mirror that per
+    // component, then build the region the joint oracle solves over.
+    if (w.region != nullptr) {
+      w.result = water_fill(*w.region);
+      if (w.result.ok) w.region->build(0);
     }
     if (obs_ != nullptr) {
       const std::uint64_t t1 = obs_->now_ns();
@@ -303,165 +295,63 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
       objective_value = *std::min_element(y.begin(), y.end());
     }
   } else {
-    // One global Frank-Wolfe iterate over all flows, with the identical
-    // gradient / gap / golden-section arithmetic of the monolithic
-    // solvers; each iteration's linear oracle decomposes per component.
-    const double alpha = cfg.optimizer.objective == Objective::kProportionalFair
-                             ? 1.0
-                             : cfg.optimizer.alpha;
-    const AlphaFairUtility util(alpha, 1e-6);
+    // One global Frank–Wolfe iterate over all flows (the routine every
+    // tier runs); each step's linear oracle is the product of the
+    // components' regions. The monolithic solver stops at the current
+    // iterate when its oracle fails; so does any component's failure.
     std::vector<double> z(num_flows, 0.0);
     std::vector<double> v(num_flows, 0.0);
-    std::vector<double> grad(num_flows, 0.0);
     std::vector<double> grad_c;
-    for (const CompWork& w : works)
+    for (const CompWork& w : works) {
+      grad_c.resize(std::max(grad_c.size(), w.flow_ids.size()));
       for (std::size_t i = 0; i < w.flow_ids.size(); ++i)
         z[w.flow_ids[i]] = std::max(w.result.y[i] / sigma, 1e-6);
-
-    const auto objective_of = [&](const std::vector<double>& vec) {
-      double acc = 0.0;
-      for (std::size_t f = 0; f < num_flows; ++f) acc += util.value(vec[f]);
-      return acc;
-    };
-
-    int iter = 0;
-    for (; iter < cfg.optimizer.fw_iterations; ++iter) {
-      for (std::size_t f = 0; f < num_flows; ++f)
-        grad[f] = util.gradient(z[f]);
-
-      // Linear oracle, component by component. The monolithic solver
-      // stops (keeping the current iterate) when its oracle fails;
-      // mirror that for any component's failure.
-      bool oracle_ok = true;
-      for (CompWork& w : works) {
-        const std::size_t nc = w.flow_ids.size();
-        if (fast) {
-          grad_c.assign(nc, 0.0);
-          for (std::size_t i = 0; i < nc; ++i) grad_c[i] = grad[w.flow_ids[i]];
-          const LpSolution sol =
-              w.warm->fw_oracle(w.cg_in, grad_c, /*first=*/iter == 0);
-          if (sol.status != LpStatus::kOptimal) {
-            oracle_ok = false;
-            break;
-          }
-          for (std::size_t i = 0; i < nc; ++i) v[w.flow_ids[i]] = sol.x[i];
-        } else {
-          const int comp = flow_comp[w.flow_ids.front()];
-          Slot& slot = *slots_[static_cast<std::size_t>(comp)];
-          w.lp.objective.assign(static_cast<std::size_t>(w.lp.num_vars), 0.0);
-          for (std::size_t i = 0; i < nc; ++i)
-            w.lp.objective[i] = grad[w.flow_ids[i]];
-          const LpSolution sol = iter == 0
-                                     ? slot.oracle_lp.solve(w.lp)
-                                     : slot.oracle_lp.resolve_objective(w.lp);
-          if (sol.status != LpStatus::kOptimal) {
-            oracle_ok = false;
-            break;
-          }
-          for (std::size_t i = 0; i < nc; ++i) v[w.flow_ids[i]] = sol.x[i];
-        }
-      }
-      if (!oracle_ok) break;
-
-      double gap = 0.0;
-      for (std::size_t f = 0; f < num_flows; ++f)
-        gap += grad[f] * (v[f] - z[f]);
-      if (gap <= cfg.optimizer.tolerance * (std::abs(objective_of(z)) + 1.0))
-        break;
-
-      const auto blend_obj = [&](double gamma) {
-        double acc = 0.0;
-        for (std::size_t f = 0; f < num_flows; ++f)
-          acc += util.value((1.0 - gamma) * z[f] + gamma * v[f]);
-        return acc;
-      };
-      double lo = 0.0, hi = 1.0;
-      constexpr double kGolden = 0.3819660112501051;
-      double m1 = lo + kGolden * (hi - lo), m2 = hi - kGolden * (hi - lo);
-      double f1 = blend_obj(m1), f2 = blend_obj(m2);
-      for (int it = 0; it < 40; ++it) {
-        if (f1 < f2) {
-          lo = m1;
-          m1 = m2;
-          f1 = f2;
-          m2 = hi - kGolden * (hi - lo);
-          f2 = blend_obj(m2);
-        } else {
-          hi = m2;
-          m2 = m1;
-          f2 = f1;
-          m1 = lo + kGolden * (hi - lo);
-          f1 = blend_obj(m1);
-        }
-      }
-      const double gamma = 0.5 * (lo + hi);
-      for (std::size_t f = 0; f < num_flows; ++f)
-        z[f] = (1.0 - gamma) * z[f] + gamma * v[f];
     }
-    fw_iterations = iter;
+    const FwRun run = frank_wolfe(
+        cfg.optimizer, static_cast<int>(num_flows), z,
+        [&](const std::vector<double>& grad, bool first) {
+          for (CompWork& w : works) {
+            const std::size_t nc = w.flow_ids.size();
+            for (std::size_t i = 0; i < nc; ++i)
+              grad_c[i] = grad[w.flow_ids[i]];
+            const LpSolution& sol =
+                w.region->oracle({grad_c.data(), nc}, first);
+            w.oracle_ok = sol.status == LpStatus::kOptimal;
+            if (!w.oracle_ok) return std::span<const double>();
+            for (std::size_t i = 0; i < nc; ++i) v[w.flow_ids[i]] = sol.x[i];
+          }
+          return std::span<const double>(v);
+        });
+    for (CompWork& w : works)
+      if (w.oracle_ok) w.region->carry();
+    fw_iterations = run.iterations;
+    objective_value = run.objective;
     for (std::size_t f = 0; f < num_flows; ++f) y[f] = z[f] * sigma;
-    objective_value = objective_of(z);
-    if (fast)
-      for (CompWork& w : works) w.warm->end_fw_round();
   }
 
   // --- Phase C: one RatePlan with the monolithic metadata conventions
-  // and loss-compensation tail over the FULL snapshot.
+  // and plan tail over the FULL snapshot.
   RatePlan plan;
-  plan.ok = true;
   plan.tier = cfg.tier;
   plan.optimizer_iterations = fw_iterations;
   plan.objective_value = objective_value;
-  if (fast) {
-    int cols = 0;
-    int pricing = 0;
-    for (const CompWork& w : works) {
-      if (concave) {
-        cols += w.warm->columns().count();
-        pricing += static_cast<int>(w.warm->stats().pricing_rounds -
-                                    w.pricing_before);
-      } else {
-        cols += w.result.columns_used;
-        pricing += w.result.pricing_rounds;
-      }
-    }
-    plan.extreme_points = cols;
-    plan.columns_generated = cols;
-    plan.pricing_rounds = pricing;
-  } else {
-    int region = 0;
-    for (const CompWork& w : works) region += w.region_rows;
-    plan.extreme_points = region;
-  }
   for (const CompWork& w : works) {
     if (fast) {
+      plan.extreme_points += w.warm->columns().count();
+      plan.pricing_rounds += static_cast<int>(
+          w.warm->stats().pricing_rounds - w.pricing_before);
       stats_.pivots += w.warm->stats().pivots - w.pivots_before;
       stats_.master_solves += w.warm->stats().master_solves - w.masters_before;
     } else {
-      const Slot& slot = *slots_[static_cast<std::size_t>(
-          flow_comp[w.flow_ids.front()])];
-      stats_.pivots +=
-          slot.exact.pivots() + slot.oracle_lp.pivots() - w.pivots_before;
+      plan.extreme_points += w.exact_in.extreme_points.rows();
+      stats_.pivots += slots_[static_cast<std::size_t>(
+                                  flow_comp[w.flow_ids.front()])]
+                           ->lp.pivots() -
+                       w.pivots_before;
     }
   }
-  plan.y = y;
-  plan.x.resize(num_flows, 0.0);
-  plan.shapers.reserve(num_flows);
-  for (std::size_t s = 0; s < num_flows; ++s) {
-    const FlowSpec& f = flows[s];
-    // Residual network-layer loss after MAC retries: p_net = p_link^R.
-    double deliver = 1.0;
-    for (const int li : hops(s)) {
-      if (li < 0) continue;
-      const SnapshotLink& link = snap.links[static_cast<std::size_t>(li)];
-      deliver *= 1.0 - std::pow(link.estimate.p_link, link.retry_limit);
-    }
-    double x = plan.y[s] / std::max(deliver, 1e-3);
-    if (f.is_tcp) x *= tcp_ack_airtime_factor();
-    x *= cfg.headroom;
-    plan.x[s] = x;
-    plan.shapers.push_back(ShaperProgram{f.flow_id, x});
-  }
+  if (fast) plan.columns_generated = plan.extreme_points;
+  finish_plan(plan, snap, flows, hops, cfg, std::move(y));
   return plan;
 }
 

@@ -24,7 +24,7 @@
 //      (OptimizerInput/ColumnGenInput::scale_override) so scaled iterates
 //      and stop thresholds keep the monolithic solve's semantics;
 //   3. stitch the per-component results into one RatePlan with the
-//      monolithic objective formulas and loss-compensation tail.
+//      monolithic objective formulas and plan tail (finish_plan).
 //
 // Objective separability (the "Decomposition" table in ARCHITECTURE.md):
 //   * kMaxThroughput — separable sum; fully independent component solves.
@@ -34,12 +34,11 @@
 //   * kProportionalFair / kAlphaFair — the OBJECTIVE is separable but the
 //     monolithic Frank–Wolfe trajectory is not: its line search couples
 //     all flows through one step size. The decomposed solve therefore
-//     runs ONE joint Frank–Wolfe loop over the global iterate (identical
-//     gradient, gap, and golden-section arithmetic to the monolithic
-//     tiers) and answers each iteration's linear oracle per component —
-//     exact-tier components via their full extreme-point LPs, fast-tier
-//     components via their entry-owned column-generation masters
-//     (ColumnGenOptimizer::begin_fw_round/fw_oracle/end_fw_round).
+//     runs the one frank_wolfe (opt/rate_region.h) over the global flow
+//     vector, and its linear oracle is the product of the components'
+//     regions — an ExactRegion per exact-tier component, the entry-owned
+//     column-generation master (ColumnGenOptimizer::region) per fast-tier
+//     component.
 //
 // Determinism contract: a decomposed plan is a deterministic function of
 // (snapshot, flows, config, partition state), bit-identical across pool
@@ -179,8 +178,8 @@ class DecomposedPlanner {
   struct Slot {
     std::vector<int> members;  ///< global link ids, ascending
     Planner planner;
-    NetworkOptimizer exact;
-    LpSolver oracle_lp;  ///< exact-tier joint-FW oracle workspace
+    LpSolver lp;         ///< exact-tier simplex workspace
+    LpProblem problem;   ///< exact-tier region LP, refilled per build
 
     Slot(std::vector<int> m, std::size_t cache)
         : members(std::move(m)), planner(cache) {}

@@ -5,14 +5,13 @@
 //   subject to sum_s R_ls y_s <= sum_k alpha_k c_kl    for every link l
 //              sum_k alpha_k = 1,  alpha >= 0,  y >= 0
 //
-// Solved with:
-//   * simplex directly for the linear objectives (max aggregate
-//     throughput),
-//   * Frank–Wolfe with an LP oracle and golden-section line search for the
-//     strictly concave alpha-fair objectives (proportional fairness etc.),
-//   * lexicographic water-filling LPs for max-min fairness (the
-//     alpha -> infinity end of the family; an extension beyond the paper's
-//     evaluated objectives).
+// NetworkOptimizer is the exact tier: the region is the full K x L
+// extreme-point matrix (ExactRegion), solved by the routines every tier
+// shares (opt/rate_region.h) — simplex for max throughput, Frank–Wolfe
+// with an LP oracle and golden-section line search for the alpha-fair
+// objectives, and water-filling LPs for max-min fairness (the
+// alpha -> infinity end of the family; an extension beyond the paper's
+// evaluated objectives).
 //
 // All matrices are flat row-major DenseMatrix: the routing matrix is
 // L x S, the extreme-point matrix K x L, and both flow into the LP
@@ -115,21 +114,9 @@ class NetworkOptimizer {
 
  private:
   OptimizerConfig cfg_;
-  LpSolver lp_;  ///< shared simplex workspace across all internal solves
+  LpSolver lp_;         ///< shared simplex workspace across all solves
+  LpProblem problem_;   ///< the region LP, refilled in place per build
 };
-
-/// Build the shared rate-region constraint set over variables
-/// (y_0..y_{S-1}, alpha_0..alpha_{K-1}[, extras]) with capacities
-/// normalized by `scale`: per-link Le rows coupling flows to extreme
-/// points, the convexity Eq row, and unit caps on unrouted flows.
-/// `extra_vars` appends zero-coefficient variables (max-min's water-level
-/// variable t). This is the exact problem NetworkOptimizer builds
-/// internally, exposed so the decomposition tier's joint Frank–Wolfe can
-/// run per-component oracles over identical constraint sets (see
-/// opt/decompose.h).
-[[nodiscard]] LpProblem build_rate_region_lp(const OptimizerInput& in,
-                                             double scale,
-                                             int extra_vars = 0);
 
 /// One-shot convenience wrapper: NetworkOptimizer(config).solve(input).
 [[nodiscard]] OptimizerResult optimize_rates(const OptimizerInput& input,
