@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -228,10 +227,11 @@ bool ColumnGenOptimizer::price_one(const ColumnGenInput& in, const Shape& s) {
   // Reduced cost of a candidate column w (zero objective coefficient):
   //   d_w = sum_{l in w} c_l/scale * lambda_l - mu,
   // with lambda the link-row duals (>= 0 for binding <= rows; clamp fp
-  // dust) and mu the dual of the convexity row after them. Maximizing sum lambda_l c_l over
-  // independent sets is exactly MWIS on the conflict graph, and the
-  // search is exact, so d_best <= pricing_tol certifies optimality over
-  // the FULL rate region — every one of the K unseen columns is covered.
+  // dust) and mu the dual of the convexity row after them. Maximizing
+  // sum lambda_l c_l over independent sets is exactly MWIS on the
+  // conflict graph, and the search is exact, so d_best <= pricing_tol
+  // certifies optimality over the FULL rate region — every one of the K
+  // unseen columns is covered.
   const double mu = duals_[static_cast<std::size_t>(s.links)];
   const double inv_scale = 1.0 / s.scale;
   weights_.assign(static_cast<std::size_t>(s.links), 0.0);

@@ -13,7 +13,8 @@
 // certifies optimality over the FULL rate region without ever enumerating
 // K columns — the structure Leith et al. ("Max-min Fairness in 802.11
 // Mesh Networks", PAPERS.md) exploit to sidestep extreme-point
-// enumeration.
+// enumeration. The priced master is a RateRegionLp, so every objective
+// runs the routines the exact tier runs (opt/rate_region.h).
 //
 // Determinism contract (ARCHITECTURE.md, "Plan tiers"):
 //   * kExact — today's path, bit-identical across thread counts, replay

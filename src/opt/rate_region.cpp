@@ -246,15 +246,15 @@ OptimizerResult water_fill(RateRegionLp& region) {
   return r;
 }
 
-AlphaFairUtility fw_utility(const OptimizerConfig& config) {
+AlphaFairUtility fw_detail::utility(const OptimizerConfig& config) {
   return AlphaFairUtility(
       config.objective == Objective::kProportionalFair ? 1.0 : config.alpha,
       1e-6);
 }
 
-bool fw_step(const AlphaFairUtility& util, int flows, double tolerance,
-             const std::vector<double>& grad, std::vector<double>& z,
-             std::span<const double> v) {
+bool fw_detail::step(const AlphaFairUtility& util, int flows,
+                     double tolerance, const std::vector<double>& grad,
+                     std::vector<double>& z, std::span<const double> v) {
   if (z.size() < v.size()) z.resize(v.size(), 0.0);
   // Duality gap (scaled): grad . (v - z).
   double gap = 0.0;

@@ -107,17 +107,21 @@ struct FwRun {
   double objective = 0.0;  ///< utility of the final iterate's flows
 };
 
+namespace fw_detail {
+
 /// The alpha-fair utility config.objective names (alpha 1 for
 /// proportional fairness), floored at 1e-6.
-[[nodiscard]] AlphaFairUtility fw_utility(const OptimizerConfig& config);
+[[nodiscard]] AlphaFairUtility utility(const OptimizerConfig& config);
 
 /// One Frank–Wolfe step toward the oracle vertex `v`: widen `z` to v's
 /// length, stop (false) once the duality gap over the first `flows`
 /// entries is within tolerance, else blend every entry of z toward v by
 /// the golden-section step over those flows.
-[[nodiscard]] bool fw_step(const AlphaFairUtility& util, int flows,
-                           double tolerance, const std::vector<double>& grad,
-                           std::vector<double>& z, std::span<const double> v);
+[[nodiscard]] bool step(const AlphaFairUtility& util, int flows,
+                        double tolerance, const std::vector<double>& grad,
+                        std::vector<double>& z, std::span<const double> v);
+
+}  // namespace fw_detail
 
 /// Frank–Wolfe for the alpha-fair objectives. `z` holds the start: flows
 /// first, then whatever the oracle's vertices carry after them (region
@@ -127,7 +131,7 @@ struct FwRun {
 template <class Oracle>
 FwRun frank_wolfe(const OptimizerConfig& config, int flows,
                   std::vector<double>& z, Oracle&& oracle) {
-  const AlphaFairUtility util = fw_utility(config);
+  const AlphaFairUtility util = fw_detail::utility(config);
   std::vector<double> grad(static_cast<std::size_t>(flows));
   FwRun run;
   for (; run.iterations < config.fw_iterations; ++run.iterations) {
@@ -135,7 +139,8 @@ FwRun frank_wolfe(const OptimizerConfig& config, int flows,
       grad[static_cast<std::size_t>(f)] =
           util.gradient(z[static_cast<std::size_t>(f)]);
     const std::span<const double> v = oracle(grad, run.iterations == 0);
-    if (v.empty() || !fw_step(util, flows, config.tolerance, grad, z, v))
+    if (v.empty() ||
+        !fw_detail::step(util, flows, config.tolerance, grad, z, v))
       break;
   }
   for (int f = 0; f < flows; ++f)
