@@ -209,6 +209,7 @@ PlanCheck PlanValidator::validate(const RatePlan& plan,
   if (plan.y.size() != n || plan.x.size() != n || plan.shapers.size() != n)
     return {false, -1, "plan not sized to the flow set"};
 
+  const FlowHops hops(snapshot, flows);
   for (std::size_t s = 0; s < n; ++s) {
     const int flow = static_cast<int>(s);
     const double y = plan.y[s];
@@ -228,9 +229,7 @@ PlanCheck PlanValidator::validate(const RatePlan& plan,
     // further). Hops absent from the snapshot carry no bound — exactly
     // the hops plan_rates skipped when it computed the plan.
     double bottleneck_bps = -1.0;
-    const FlowSpec& f = flows[s];
-    for (std::size_t h = 0; h + 1 < f.path.size(); ++h) {
-      const int li = snapshot.link_index(f.path[h], f.path[h + 1]);
+    for (const int li : hops[s]) {
       if (li < 0) continue;
       const double cap =
           snapshot.links[static_cast<std::size_t>(li)].estimate.capacity_bps;

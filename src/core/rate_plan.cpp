@@ -1,7 +1,9 @@
 #include "core/rate_plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace meshopt {
 
@@ -72,9 +74,33 @@ FlowHops::FlowHops(const MeasurementSnapshot& snapshot,
   for (const FlowSpec& f : flows)
     total += f.path.empty() ? 0 : f.path.size() - 1;
   link_.reserve(total);
+  // One open-addressed (src, dst) -> link table per construction, at most
+  // half full, instead of a scan of the links per hop. Its slots live per
+  // thread, so a warm construction allocates nothing. A repeated key keeps
+  // its first link, as MeasurementSnapshot::link_index finds it.
+  thread_local std::vector<int> table;
+  const int shift = 63 - std::bit_width(snapshot.links.size() | 7);
+  table.assign(std::size_t{1} << (64 - shift), -1);
+  const auto slot = [&snapshot, shift](NodeId src, NodeId dst) -> int& {
+    const std::uint64_t key =
+        (std::uint64_t{static_cast<std::uint32_t>(src)} << 32) |
+        static_cast<std::uint32_t>(dst);
+    std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> shift;
+    while (table[i] >= 0) {
+      const SnapshotLink& l =
+          snapshot.links[static_cast<std::size_t>(table[i])];
+      if (l.src == src && l.dst == dst) break;
+      i = (i + 1) & (table.size() - 1);
+    }
+    return table[i];
+  };
+  for (std::size_t l = 0; l < snapshot.links.size(); ++l) {
+    int& e = slot(snapshot.links[l].src, snapshot.links[l].dst);
+    if (e < 0) e = static_cast<int>(l);
+  }
   for (const FlowSpec& f : flows) {
     for (std::size_t h = 0; h + 1 < f.path.size(); ++h)
-      link_.push_back(snapshot.link_index(f.path[h], f.path[h + 1]));
+      link_.push_back(slot(f.path[h], f.path[h + 1]));
     begin_.push_back(link_.size());
   }
 }

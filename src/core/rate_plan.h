@@ -70,6 +70,8 @@ struct RatePlan {
   double objective_value = 0.0;      ///< attained utility (objective units)
   int columns_generated = 0;  ///< fast tier: working-set columns at finish
   int pricing_rounds = 0;     ///< fast tier: pricing-oracle invocations
+                              ///< (0 when every master was certified
+                              ///< complete, see ColumnGenStats)
 
   friend bool operator==(const RatePlan&, const RatePlan&) = default;
 };
@@ -102,7 +104,9 @@ struct RatePlan {
                                   ColumnGenOptimizer* warm);
 
 /// Every flow's hops resolved to snapshot link indices, once per round
-/// (-1: a hop the snapshot does not model).
+/// (-1: a hop the snapshot does not model; a repeated (src, dst) resolves
+/// to its first link, as MeasurementSnapshot::link_index). The one hop
+/// resolver of the plan path and PlanValidator.
 class FlowHops {
  public:
   FlowHops(const MeasurementSnapshot& snapshot,

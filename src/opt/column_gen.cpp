@@ -204,6 +204,30 @@ void ColumnGenOptimizer::seed_columns(const ColumnGenInput& in) {
   }
 }
 
+bool ColumnGenOptimizer::working_set_complete(const ConflictGraph& graph) {
+  // On a complete conflict graph the maximal independent sets are exactly
+  // the single links. Decided from the graph and the columns themselves,
+  // since a caller may reuse the optimizer on another graph without reset().
+  const int links = graph.size();
+  if (columns_.count() != links ||
+      graph.edge_count() != links * (links - 1) / 2)
+    return false;
+  const int words = columns_.row_words();
+  cand_bits_.assign(static_cast<std::size_t>(words), 0);
+  for (int k = 0; k < links; ++k) {
+    const std::uint64_t* row = columns_.row(k);
+    int members = 0;
+    for (int wd = 0; wd < words; ++wd) {
+      members += std::popcount(row[wd]);
+      cand_bits_[static_cast<std::size_t>(wd)] |= row[wd];
+    }
+    if (members != 1) return false;
+  }
+  int covered = 0;
+  for (const std::uint64_t w : cand_bits_) covered += std::popcount(w);
+  return covered == links;
+}
+
 int ColumnGenOptimizer::append_column_to_master(
     const std::vector<std::uint64_t>& bits, const ColumnGenInput& in,
     const Shape& s) {
@@ -296,8 +320,12 @@ const LpSolution& ColumnGenOptimizer::cg_solve(const ColumnGenInput& in,
       break;
   }
   ++stats_.master_solves;
+  // A complete working set already holds every column the oracle could
+  // return, so the master is optimal over the full region as solved.
+  if (complete_ && sol->status == LpStatus::kOptimal)
+    ++stats_.certified_masters;
   int rounds = 0;
-  while (sol->status == LpStatus::kOptimal &&
+  while (!complete_ && sol->status == LpStatus::kOptimal &&
          rounds < cg_.max_pricing_rounds) {
     ++rounds;
     if (!price_one(in, s)) break;
@@ -358,6 +386,7 @@ RateRegionLp* ColumnGenOptimizer::region(const ColumnGenInput& input) {
   ++stats_.solves;
   solve_pricing_rounds_ = 0;
   seed_columns(input);
+  complete_ = working_set_complete(*input.conflicts);
   return &region_.emplace(*this, input, s);
 }
 

@@ -16,6 +16,15 @@
 // enumeration. The priced master is a RateRegionLp, so every objective
 // runs the routines the exact tier runs (opt/rate_region.h).
 //
+// Completeness certificate: on a complete conflict graph (a single
+// collision domain, e.g. every city cluster) the maximal independent sets
+// are the single links, which are exactly the seed columns. region()
+// checks this on every call, from the graph and the working set, and then
+// the region's masters end without pricing: the oracle could not admit a
+// column, and it only reads the LP, so the solve is unchanged bit for bit.
+// ColumnGenStats::certified_masters counts those masters; pricing_rounds
+// counts only oracle calls.
+//
 // Determinism contract (ARCHITECTURE.md, "Plan tiers"):
 //   * kExact — today's path, bit-identical across thread counts, replay
 //     vs live, cached vs cold. Unchanged by this module.
@@ -75,7 +84,11 @@ struct ColumnGenConfig {
 struct ColumnGenStats {
   std::uint64_t solves = 0;             ///< solve() calls
   std::uint64_t master_solves = 0;      ///< restricted-master LP solves
-  std::uint64_t pricing_rounds = 0;     ///< pricing-oracle invocations
+  std::uint64_t pricing_rounds = 0;     ///< pricing-oracle invocations;
+                                        ///< none on certified masters
+  std::uint64_t certified_masters = 0;  ///< optimal masters closed without
+                                        ///< pricing: the working set holds
+                                        ///< every maximal independent set
   std::uint64_t columns_seeded = 0;     ///< greedy seed columns
   std::uint64_t columns_admitted = 0;   ///< columns priced in by the oracle
   std::uint64_t warm_starts = 0;        ///< masters offered a carried basis
@@ -216,6 +229,9 @@ class ColumnGenOptimizer {
   };
 
   void seed_columns(const ColumnGenInput& in);
+  /// True when the working set holds every maximal independent set of
+  /// `graph`: the graph is complete and the columns are its single links.
+  [[nodiscard]] bool working_set_complete(const ConflictGraph& graph);
   [[nodiscard]] bool has_column(const std::vector<std::uint64_t>& bits) const;
   int append_column_to_master(const std::vector<std::uint64_t>& bits,
                               const ColumnGenInput& in, const Shape& s);
@@ -236,6 +252,8 @@ class ColumnGenOptimizer {
   ColumnGenStats stats_;
   TraceRecorder* obs_ = nullptr;  ///< borrowed; see set_observer()
   int solve_pricing_rounds_ = 0;  ///< pricing rounds in the current solve()
+  bool complete_ = false;  ///< region() found the working set complete:
+                           ///< its masters end without pricing
   std::optional<Region> region_;  ///< the last region() handed out
 
   // Per-solve scratch, reused across calls.

@@ -26,8 +26,7 @@ struct CompWork {
   ColumnGenInput cg_in;
   ColumnGenOptimizer* warm = nullptr;  ///< entry-owned or `cold`
   std::unique_ptr<ColumnGenOptimizer> cold;
-  std::uint64_t pricing_before = 0;
-  std::uint64_t masters_before = 0;
+  ColumnGenStats cg_before;  ///< warm's counters at the start of the round
 
   // Exact tier.
   OptimizerInput exact_in;
@@ -39,8 +38,8 @@ struct CompWork {
   bool oracle_ok = false;
 
   OptimizerResult result;  ///< final (kMT/kMM) or FW starting point
-  std::uint64_t pivots_before = 0;  ///< the component solvers' pivots at
-                                    ///< the start of the round
+  std::uint64_t pivots_before = 0;  ///< exact tier: the component
+                                    ///< solver's pivots at round start
 
   // Wall-clock enrichment of the component's phase-A job (0 unless the
   // attached recorder enables wall_clock). Written by the job, read by the
@@ -216,9 +215,7 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
       }
       w.warm->set_observer(slot.planner.observer());
       w.warm->config() = cfg.optimizer;
-      w.pricing_before = w.warm->stats().pricing_rounds;
-      w.masters_before = w.warm->stats().master_solves;
-      w.pivots_before = w.warm->stats().pivots;
+      w.cg_before = w.warm->stats();
       if (concave)
         w.region = w.warm->region(w.cg_in);
       else
@@ -337,11 +334,18 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
   plan.objective_value = objective_value;
   for (const CompWork& w : works) {
     if (fast) {
+      const ColumnGenStats& now = w.warm->stats();
+      const ColumnGenStats& was = w.cg_before;
       plan.extreme_points += w.warm->columns().count();
-      plan.pricing_rounds += static_cast<int>(
-          w.warm->stats().pricing_rounds - w.pricing_before);
-      stats_.pivots += w.warm->stats().pivots - w.pivots_before;
-      stats_.master_solves += w.warm->stats().master_solves - w.masters_before;
+      plan.pricing_rounds +=
+          static_cast<int>(now.pricing_rounds - was.pricing_rounds);
+      stats_.pivots += now.pivots - was.pivots;
+      stats_.master_solves += now.master_solves - was.master_solves;
+      stats_.certified_masters +=
+          now.certified_masters - was.certified_masters;
+      stats_.pricing_rounds += now.pricing_rounds - was.pricing_rounds;
+      stats_.oracle_nodes += now.oracle_nodes - was.oracle_nodes;
+      stats_.columns_admitted += now.columns_admitted - was.columns_admitted;
     } else {
       plan.extreme_points += w.exact_in.extreme_points.rows();
       stats_.pivots += slots_[static_cast<std::size_t>(

@@ -106,6 +106,11 @@ struct DecomposeStats {
   std::uint64_t pivots = 0;  ///< simplex pivots of decomposed rounds
   std::uint64_t master_solves = 0;  ///< fast tier: restricted-master solves
                                     ///< of decomposed rounds
+  // Fast tier, decomposed rounds: the components' ColumnGenStats deltas.
+  std::uint64_t certified_masters = 0;  ///< masters closed without pricing
+  std::uint64_t pricing_rounds = 0;     ///< pricing-oracle invocations
+  std::uint64_t oracle_nodes = 0;       ///< MWIS branch-and-bound nodes
+  std::uint64_t columns_admitted = 0;   ///< columns priced in
 };
 
 /// Per-component planning front end; plug-compatible with Planner::plan.

@@ -77,7 +77,8 @@ struct OptimizerResult {
                            ///< restricted master finished with (0 for the
                            ///< exact full-K solver)
   int pricing_rounds = 0;  ///< column generation only: pricing-oracle
-                           ///< invocations across the solve
+                           ///< invocations across the solve (none on
+                           ///< masters certified complete)
 };
 
 /// Reusable solver for the paper's utility maximization.

@@ -441,6 +441,103 @@ TEST(ColumnGenOptimizer, WarmSolvesStayConsistentUnderCapacityDrift) {
   EXPECT_GE(warm.stats().warm_starts, 1u);
 }
 
+/// A 12-link clique with one-hop flows on links 0 and 1: its seed columns
+/// are the 12 single links, which are every maximal independent set.
+FuzzInstance clique_instance() {
+  RngStream rng(61, "cg-clique");
+  FuzzInstance inst = random_instance(rng, 12, 2);
+  inst.in.routing = DenseMatrix(12, 2, 0.0);
+  inst.in.routing(0, 0) = 1.0;
+  inst.in.routing(1, 1) = 1.0;
+  inst.graph = ConflictGraph(12);
+  for (int a = 0; a < 12; ++a)
+    for (int b = a + 1; b < 12; ++b) inst.graph.add_conflict(a, b);
+  inst.in.conflicts = &inst.graph;
+  return inst;
+}
+
+OptimizerResult exact_solve(const FuzzInstance& inst,
+                            const OptimizerConfig& cfg) {
+  OptimizerInput in;
+  in.routing = inst.in.routing;
+  in.extreme_points =
+      build_extreme_point_matrix(inst.in.capacities, inst.graph);
+  return optimize_rates(in, cfg);
+}
+
+TEST(ColumnGenOptimizer, CliqueMastersAreCertifiedWithoutPricing) {
+  const FuzzInstance inst = clique_instance();
+  OptimizerConfig cfg;
+  cfg.objective = Objective::kProportionalFair;
+  ColumnGenOptimizer cg(cfg);
+  const OptimizerResult fast = cg.solve(inst.in);
+  ASSERT_TRUE(fast.ok);
+  EXPECT_EQ(fast.pricing_rounds, 0);
+  EXPECT_EQ(cg.columns().count(), 12);
+  EXPECT_GT(cg.stats().master_solves, 0u);
+  EXPECT_EQ(cg.stats().certified_masters, cg.stats().master_solves);
+  EXPECT_EQ(cg.stats().pricing_rounds, 0u);
+  EXPECT_EQ(cg.stats().oracle_nodes, 0u);
+  const OptimizerResult exact = exact_solve(inst, cfg);
+  ASSERT_TRUE(exact.ok);
+  EXPECT_NEAR(fast.objective_value, exact.objective_value,
+              1e-6 * std::max(1.0, std::abs(exact.objective_value)));
+}
+
+/// clique_instance() with links 0 and 1 no longer conflicting: both flows
+/// can then send at once, in the column {0, 1}.
+FuzzInstance clique_minus_one_edge() {
+  FuzzInstance inst = clique_instance();
+  inst.graph = ConflictGraph(12);
+  for (int a = 0; a < 12; ++a)
+    for (int b = a + 1; b < 12; ++b)
+      if (a != 0 || b != 1) inst.graph.add_conflict(a, b);
+  inst.in.conflicts = &inst.graph;
+  return inst;
+}
+
+TEST(ColumnGenOptimizer, CliqueMinusOneEdgePricesAndMatchesExact) {
+  const FuzzInstance inst = clique_minus_one_edge();
+  for (const Objective obj :
+       {Objective::kMaxThroughput, Objective::kMaxMin,
+        Objective::kProportionalFair}) {
+    OptimizerConfig cfg;
+    cfg.objective = obj;
+    ColumnGenOptimizer cg(cfg);
+    const OptimizerResult fast = cg.solve(inst.in);
+    ASSERT_TRUE(fast.ok);
+    EXPECT_EQ(cg.stats().certified_masters, 0u);
+    EXPECT_GT(fast.pricing_rounds, 0);
+    const OptimizerResult exact = exact_solve(inst, cfg);
+    ASSERT_TRUE(exact.ok);
+    EXPECT_NEAR(fast.objective_value, exact.objective_value,
+                1e-6 * std::max(1.0, std::abs(exact.objective_value)))
+        << static_cast<int>(obj);
+  }
+}
+
+TEST(ColumnGenOptimizer, CertificateIsDecidedFromTheCurrentGraph) {
+  // One optimizer, no reset(): the clique's 12 single-link columns carry
+  // over to the thinned graph, where they miss {0, 1}. The masters there
+  // must price that column in rather than reuse the clique's certificate.
+  const FuzzInstance clique = clique_instance();
+  const FuzzInstance thinned = clique_minus_one_edge();
+  OptimizerConfig cfg;
+  cfg.objective = Objective::kMaxThroughput;
+  ColumnGenOptimizer cg(cfg);
+  ASSERT_TRUE(cg.solve(clique.in).ok);
+  const std::uint64_t certified = cg.stats().certified_masters;
+  EXPECT_EQ(certified, cg.stats().master_solves);
+  const OptimizerResult fast = cg.solve(thinned.in);
+  ASSERT_TRUE(fast.ok);
+  EXPECT_EQ(cg.stats().certified_masters, certified);
+  EXPECT_EQ(cg.stats().columns_admitted, 1u);
+  const OptimizerResult exact = exact_solve(thinned, cfg);
+  ASSERT_TRUE(exact.ok);
+  EXPECT_NEAR(fast.objective_value, exact.objective_value,
+              1e-6 * std::max(1.0, std::abs(exact.objective_value)));
+}
+
 TEST(ColumnGenOptimizer, ResetDropsWarmState) {
   RngStream rng(59, "cg-reset");
   FuzzInstance inst = random_instance(rng, 16, 2);

@@ -16,6 +16,7 @@
 #include "scenario/workbench.h"
 #include "sweep/controller_fleet.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace meshopt {
 namespace {
@@ -193,6 +194,36 @@ TEST(ControlPlane, PlanRatesIsPure) {
   const RatePlan b = plan_rates(snap, model, flows, cfg);
   ASSERT_TRUE(a.ok);
   EXPECT_EQ(a, b);
+}
+
+TEST(ControlPlane, FlowHopsResolveEveryHopLikeLinkIndex) {
+  // Random links over a few node ids (negative and large ones included),
+  // so (src, dst) keys repeat and table slots collide; every hop of every
+  // path must resolve to link_index's answer: its first link, or -1.
+  RngStream rng(5, "flow-hops");
+  const NodeId ids[] = {-7, 0, 1, 2, 3, 9, 1 << 20, 0x7fffffff};
+  const auto node = [&] { return ids[rng.uniform_int(0, 7)]; };
+  for (const int links : {0, 1, 11, 203}) {
+    MeasurementSnapshot snap;
+    for (int l = 0; l < links; ++l) {
+      SnapshotLink link;
+      link.src = node();
+      link.dst = node();
+      snap.links.push_back(link);
+    }
+    std::vector<FlowSpec> flows(6);
+    for (std::size_t s = 0; s < flows.size(); ++s)
+      for (int h = 0; h < static_cast<int>(s); ++h)
+        flows[s].path.push_back(node());
+    const FlowHops hops(snap, flows);
+    for (std::size_t s = 0; s < flows.size(); ++s) {
+      const std::vector<NodeId>& path = flows[s].path;
+      ASSERT_EQ(hops[s].size(), path.empty() ? 0 : path.size() - 1);
+      for (std::size_t h = 0; h + 1 < path.size(); ++h)
+        EXPECT_EQ(hops[s][h], snap.link_index(path[h], path[h + 1]))
+            << links << " links, flow " << s << " hop " << h;
+    }
+  }
 }
 
 TEST(ControlPlane, ApplyPlanProgramsShapersByFlowId) {

@@ -102,6 +102,11 @@ TEST(PerfBudget, CityClusterFastTierDriftRounds) {
   }
   EXPECT_EQ(cg.stats().pivots, 5414u);
   EXPECT_EQ(cg.stats().master_solves, 183u);
+  // The cluster is a clique: every master is certified, none is priced
+  // (183 pricing rounds and 8324 MWIS nodes while each master priced once).
+  EXPECT_EQ(cg.stats().certified_masters, 183u);
+  EXPECT_EQ(cg.stats().pricing_rounds, 0u);
+  EXPECT_EQ(cg.stats().oracle_nodes, 0u);
 }
 
 TEST(PerfBudget, ExactTierProportionalFairSolve) {
@@ -151,7 +156,10 @@ TEST(PerfBudget, ExactTierAlphaFairSolve) {
 /// 50-link-per-cluster city: a cold round (component max-min starts, then
 /// the joint Frank–Wolfe with one linear oracle per component), then a
 /// warm one on drifted capacities, whose fast-tier oracles start from the
-/// carried bases. Counts are cumulative after each round.
+/// carried bases. Counts are cumulative after each round. Every city
+/// cluster is a clique, so each fast-tier master is certified complete and
+/// none is priced (60/116 pricing rounds and 2792/5387 MWIS nodes while
+/// each master priced once).
 TEST(PerfBudget, DecomposedCityProportionalFairRounds) {
   CityParams p;
   p.links_per_cluster = 50;
@@ -167,17 +175,22 @@ TEST(PerfBudget, DecomposedCityProportionalFairRounds) {
     std::vector<std::uint64_t> pivots;
     std::vector<std::uint64_t> master_solves;
     std::vector<int> fw_iterations;
+    std::vector<std::uint64_t> certified_masters;
+    std::vector<std::uint64_t> pricing_rounds;
+    std::vector<std::uint64_t> oracle_nodes;
   };
   const Pin pins[] = {
-      {PlanTier::kExact, {1362u, 2721u}, {0u, 0u}, {9, 8}},
-      {PlanTier::kFast, {1362u, 2721u}, {60u, 116u}, {9, 8}},
+      {PlanTier::kExact, {1362u, 2721u}, {0u, 0u}, {9, 8}, {0u, 0u}, {0u, 0u},
+       {0u, 0u}},
+      {PlanTier::kFast, {1362u, 2721u}, {60u, 116u}, {9, 8}, {60u, 116u},
+       {0u, 0u}, {0u, 0u}},
   };
   for (const Pin& pin : pins) {
     PlanConfig cfg;
     cfg.optimizer.objective = Objective::kProportionalFair;
     cfg.tier = pin.tier;
     DecomposedPlanner planner;
-    Pin got{pin.tier, {}, {}, {}};
+    Pin got{pin.tier, {}, {}, {}, {}, {}, {}};
     for (const MeasurementSnapshot* snap : rounds) {
       const RatePlan plan =
           planner.plan(*snap, InterferenceModelKind::kLirTable, flows, cfg);
@@ -185,12 +198,18 @@ TEST(PerfBudget, DecomposedCityProportionalFairRounds) {
       got.pivots.push_back(planner.stats().pivots);
       got.master_solves.push_back(planner.stats().master_solves);
       got.fw_iterations.push_back(plan.optimizer_iterations);
+      got.certified_masters.push_back(planner.stats().certified_masters);
+      got.pricing_rounds.push_back(planner.stats().pricing_rounds);
+      got.oracle_nodes.push_back(planner.stats().oracle_nodes);
     }
     const bool fast = pin.tier == PlanTier::kFast;
     EXPECT_EQ(planner.stats().decomposed_rounds, 2u) << "fast " << fast;
     EXPECT_EQ(got.pivots, pin.pivots) << "fast " << fast;
     EXPECT_EQ(got.master_solves, pin.master_solves) << "fast " << fast;
     EXPECT_EQ(got.fw_iterations, pin.fw_iterations) << "fast " << fast;
+    EXPECT_EQ(got.certified_masters, pin.certified_masters) << "fast " << fast;
+    EXPECT_EQ(got.pricing_rounds, pin.pricing_rounds) << "fast " << fast;
+    EXPECT_EQ(got.oracle_nodes, pin.oracle_nodes) << "fast " << fast;
   }
 }
 

@@ -15,8 +15,10 @@
 //   MESHOPT_REGEN_GOLDEN=1 ./test_plan_tiers
 //
 // The bit pins at the end hold exact 64-bit digests of whole plans (both
-// tiers, monolithic and decomposed, every objective) and of one traced
-// decomposed round: any change to the optimizer's arithmetic moves them.
+// tiers, monolithic and decomposed, every objective; and decomposed fast
+// plans on a non-clique component, where the oracle admits columns) and
+// of one traced decomposed round: any change to the optimizer's
+// arithmetic moves them.
 
 #include <bit>
 #include <cmath>
@@ -648,6 +650,72 @@ TEST(PlanTiers, SmallCityPlanBitsPinned) {
         EXPECT_EQ(d.h, pin.digest) << pin.name << ": 0x" << std::hex << d.h;
       }
     }
+  }
+}
+
+/// small_city() with cluster 0's conflict graph thinned from a 5-clique to
+/// the 5-cycle 0-1-2-3-4-0: the chords (i, i + 2) stop conflicting. The
+/// component stays connected, its greedy seed columns miss the maximal set
+/// {2, 4}, and the pricing oracle has to admit it.
+MeasurementSnapshot thinned_small_city() {
+  MeasurementSnapshot snap = build_city_snapshot(small_city());
+  const std::vector<int> c0 = city_cluster_links(small_city(), 0);
+  for (int i = 0; i < 5; ++i) {
+    const int a = c0[static_cast<std::size_t>(i)];
+    const int b = c0[static_cast<std::size_t>((i + 2) % 5)];
+    snap.lir(a, b) = snap.lir(b, a) = 1.0;
+  }
+  return snap;
+}
+
+TEST(PlanTiers, DecomposedFastTierAdmitsColumnsOnNonCliqueComponent) {
+  // Each objective: a cold round, then a warm one on drifted capacities,
+  // through one DecomposedPlanner per tier. The fast tier must price a
+  // column in, stay within the 1e-6 gap of the exact tier, and reproduce
+  // its pinned plan bits.
+  struct Pin {
+    const char* name;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"maxthru", 0xb34756f034e2b4e7ull},
+      {"pf", 0xe82e8d9925a4fc24ull},
+      {"maxmin", 0xdf528373c7de5e26ull},
+      {"alpha2", 0x8481ef3c17eb0996ull},
+  };
+  const MeasurementSnapshot cold = thinned_small_city();
+  MeasurementSnapshot drifted = cold;
+  for (std::size_t l = 0; l < drifted.links.size(); ++l)
+    drifted.links[l].estimate.capacity_bps *= 1.0 + 0.01 * (l % 3);
+  const MeasurementSnapshot* rounds[] = {&cold, &drifted};
+  const std::vector<FlowSpec> flows = city_flows(small_city());
+  std::size_t i = 0;
+  for (const ObjectiveCase& oc : objective_cases()) {
+    const Pin& pin = pins[i++];
+    PlanConfig exact_cfg;
+    exact_cfg.optimizer = oc.cfg;
+    PlanConfig fast_cfg = exact_cfg;
+    fast_cfg.tier = PlanTier::kFast;
+    DecomposedPlanner exact_planner;
+    DecomposedPlanner fast_planner;
+    Digest d;
+    for (const MeasurementSnapshot* snap : rounds) {
+      const RatePlan exact = exact_planner.plan(
+          *snap, InterferenceModelKind::kLirTable, flows, exact_cfg);
+      const RatePlan fast = fast_planner.plan(
+          *snap, InterferenceModelKind::kLirTable, flows, fast_cfg);
+      ASSERT_TRUE(exact.ok && fast.ok) << pin.name;
+      EXPECT_NEAR(fast.objective_value, exact.objective_value,
+                  1e-6 * std::max(1.0, std::abs(exact.objective_value)))
+          << pin.name;
+      d.add(plan_digest(fast));
+    }
+    EXPECT_EQ(fast_planner.stats().decomposed_rounds, 2u) << pin.name;
+    EXPECT_GT(fast_planner.stats().columns_admitted, 0u) << pin.name;
+    // Cluster 0's masters price; the two clique clusters' are certified.
+    EXPECT_GT(fast_planner.stats().pricing_rounds, 0u) << pin.name;
+    EXPECT_GT(fast_planner.stats().certified_masters, 0u) << pin.name;
+    EXPECT_EQ(d.h, pin.digest) << pin.name << ": 0x" << std::hex << d.h;
   }
 }
 
