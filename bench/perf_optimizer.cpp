@@ -181,17 +181,6 @@ void BM_ChannelDispatchDense(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelDispatchDense)->Arg(16)->Arg(64);
 
-void BM_ExtremePoints(benchmark::State& state) {
-  const int links = static_cast<int>(state.range(0));
-  const ConflictGraph g = random_conflicts(links, 0.5, 43);
-  std::vector<double> caps(static_cast<std::size_t>(links), 1e6);
-  for (auto _ : state) {
-    const auto pts = build_extreme_points(caps, g);
-    benchmark::DoNotOptimize(pts);
-  }
-}
-BENCHMARK(BM_ExtremePoints)->Arg(12)->Arg(24)->Arg(40);
-
 // Bitset bridge: MIS rows stream straight into the K x L DenseMatrix,
 // no per-set vector<int> / per-point vector<double> materialization.
 void BM_ExtremePointMatrix(benchmark::State& state) {
@@ -638,10 +627,10 @@ void BM_ReplayDecomposed(benchmark::State& state) {
   cell.flows = city_flows(p);
   cell.plan.optimizer.objective = Objective::kMaxThroughput;
   cell.plan.tier = PlanTier::kFast;
+  cell.plan.decompose = decompose;
   cell.interference = InterferenceModelKind::kLirTable;
 
   ReplayOptions opts;
-  opts.decompose = decompose;
   opts.mis_cap = 4000;  // shared cap: both cells enumerate bounded rows
   opts.segment_rounds = 3;  // one warm segment per replay
 

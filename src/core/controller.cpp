@@ -206,10 +206,6 @@ void MeshController::adopt_snapshot(MeasurementSnapshot snap) {
   }
 }
 
-void MeshController::ingest_snapshot(MeasurementSnapshot snap) {
-  adopt_snapshot(std::move(snap));
-}
-
 void MeshController::update_estimates() {
   adopt_snapshot(sense_snapshot());
   if (trace_writer_ != nullptr) trace_writer_->write(snapshot_);
@@ -251,24 +247,32 @@ RoundResult MeshController::optimize_and_apply() {
   // (bit-identical to an uncached InterferenceModel::build, pinned in
   // tests/test_planner.cpp), and fast-tier plans additionally reuse the
   // entry's column-generation warm state across rounds.
-  {
-    ObsSpan plan_span(obs_, ObsStage::kPlan);
-    plan_ = planner_.plan(snapshot_, cfg_.interference, flow_specs(),
-                          cfg_.plan());
-    plan_span.payload(
-        (static_cast<std::uint64_t>(
-             static_cast<std::uint32_t>(plan_.extreme_points))
-         << 32) |
-            static_cast<std::uint32_t>(plan_.optimizer_iterations),
-        std::bit_cast<std::uint64_t>(plan_.objective_value));
-  }
+  plan_ = plan_snapshot(/*cacheable=*/true);
   if (!plan_.ok) return round;
 
   {
     ObsSpan apply_span(obs_, ObsStage::kApply);
     apply_plan(plan_);
   }
+  return ok_round();
+}
 
+RatePlan MeshController::plan_snapshot(bool cacheable) {
+  ObsSpan plan_span(obs_, ObsStage::kPlan);
+  RatePlan plan =
+      planner_.plan(snapshot_, cfg_.interference, flow_specs(), cfg_.plan(),
+                    /*mis_cap=*/200000, cacheable);
+  plan_span.payload(
+      (static_cast<std::uint64_t>(
+           static_cast<std::uint32_t>(plan.extreme_points))
+       << 32) |
+          static_cast<std::uint32_t>(plan.optimizer_iterations),
+      std::bit_cast<std::uint64_t>(plan.objective_value));
+  return plan;
+}
+
+RoundResult MeshController::ok_round() const {
+  RoundResult round;
   round.ok = true;
   round.links = estimates_;
   round.y = plan_.y;
@@ -406,19 +410,7 @@ RoundResult MeshController::guarded_step(MeasurementSnapshot snap) {
   // Model + plan. A repaired snapshot's topology must not be cached: the
   // planner builds it off to the side so the LRU never holds an entry
   // derived from corrupted measurements.
-  RatePlan plan;
-  {
-    ObsSpan plan_span(obs_, ObsStage::kPlan);
-    plan =
-        planner_.plan(snapshot_, cfg_.interference, flow_specs(), cfg_.plan(),
-                      /*mis_cap=*/200000, /*cacheable=*/clean);
-    plan_span.payload(
-        (static_cast<std::uint64_t>(
-             static_cast<std::uint32_t>(plan.extreme_points))
-         << 32) |
-            static_cast<std::uint32_t>(plan.optimizer_iterations),
-        std::bit_cast<std::uint64_t>(plan.objective_value));
-  }
+  RatePlan plan = plan_snapshot(clean);
 
   const PlanValidator plan_validator(guard_cfg_.plan);
   const PlanCheck check = plan_validator.validate(plan, snapshot_,
@@ -477,13 +469,7 @@ RoundResult MeshController::guarded_step(MeasurementSnapshot snap) {
   backoff_next_ = std::max(1, guard_cfg_.backoff_start);
   last_good_plan_ = plan_;
 
-  RoundResult round;
-  round.ok = true;
-  round.links = estimates_;
-  round.y = plan_.y;
-  round.x = plan_.x;
-  round.extreme_points = plan_.extreme_points;
-  round.optimizer_iterations = plan_.optimizer_iterations;
+  RoundResult round = ok_round();
   round.health = health_;
   return round;
 }

@@ -183,12 +183,6 @@ class MeshController {
   void set_guard(GuardConfig cfg);
   [[nodiscard]] const GuardConfig& guard() const { return guard_cfg_; }
 
-  /// Adopt an externally produced snapshot as if update_estimates() had
-  /// sensed it: refreshes the link-estimate view and topology database.
-  /// This is how replayed or fault-injected snapshot streams drive the
-  /// controller. Does not write to an attached trace writer.
-  void ingest_snapshot(MeasurementSnapshot snap);
-
   /// One resilient round: pull the next window from `source`, validate
   /// it, plan with guardrails, and actuate — or hold the last-known-good
   /// plan and back off. Composes with LiveSource (live loop), TraceSource
@@ -237,7 +231,14 @@ class MeshController {
   ProbeAgent& ensure_agent(NodeId node);
   ProbeMonitor& ensure_monitor(NodeId node);
   [[nodiscard]] int link_index(NodeId src, NodeId dst) const;
+  /// Make `snap` the current snapshot: refresh the link-estimate view and
+  /// topology database (no trace write).
   void adopt_snapshot(MeasurementSnapshot snap);
+  /// The plan stage of both loops: plan the current snapshot inside one
+  /// kPlan span (payload: K << 32 | FW iterations, objective bits).
+  [[nodiscard]] RatePlan plan_snapshot(bool cacheable);
+  /// The RoundResult of a round that actuated plan_ (health left default).
+  [[nodiscard]] RoundResult ok_round() const;
   /// Apply `plan` through the managed flows' callbacks, swallowing (and
   /// counting) exceptions. Returns false when any callback threw.
   bool apply_plan_checked(const RatePlan& plan);

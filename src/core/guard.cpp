@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/planner.h"
 #include "phy/radio.h"
 
 namespace meshopt {
@@ -240,6 +241,23 @@ PlanCheck PlanValidator::validate(const RatePlan& plan,
       return {false, flow, "output above bottleneck capacity"};
   }
   return {};
+}
+
+void plan_guarded(Planner& planner, MeasurementSnapshot snap,
+                  InterferenceModelKind kind,
+                  const std::vector<FlowSpec>& flows, const PlanConfig& cfg,
+                  const GuardConfig& guard, GuardedPlan& out,
+                  std::size_t mis_cap) {
+  const ValidationReport report =
+      SnapshotValidator(guard.snapshot).validate(snap);
+  out.verdict = report.verdict;
+  if (!report.usable()) return;
+  const bool clean = report.verdict == SnapshotVerdict::kClean;
+  out.plan = planner.plan(snap, kind, flows, cfg, mis_cap, clean);
+  if (!PlanValidator(guard.plan).validate(out.plan, snap, flows).ok) {
+    out.plan = RatePlan{};
+    out.plan_rejected = true;
+  }
 }
 
 }  // namespace meshopt

@@ -27,15 +27,21 @@
 // snapshot, decayed trust) -> FALLBACK (hold last-known-good plan,
 // exponential-backoff re-probe). HealthState/HealthStats are defined here
 // so fleet drivers and tests can consume them without the controller.
+// plan_guarded() is the stateless guarded round that guarded fleet replay
+// and guarded serve tenants share: no held plan, no backoff.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "core/interference.h"
 #include "core/rate_plan.h"
 #include "core/snapshot.h"
 #include "scenario/workbench.h"
 
 namespace meshopt {
+
+class Planner;
 
 // ------------------------------------------------------------- snapshot
 
@@ -217,5 +223,25 @@ struct GuardConfig {
   int backoff_start = 1;
   int backoff_max = 8;
 };
+
+// ------------------------------------------------------ stateless round
+
+/// Outcome of one plan_guarded() round.
+struct GuardedPlan {
+  SnapshotVerdict verdict = SnapshotVerdict::kClean;
+  RatePlan plan;  ///< default (ok == false) when rejected
+  bool plan_rejected = false;  ///< the plan guardrail refused the plan
+};
+
+/// One guarded round with no state beyond the planner's cache: validate
+/// and repair `snap`, plan it (cache read-only unless clean), guardrail
+/// the plan. A rejected snapshot or plan leaves `out.plan` default, so
+/// the round is a pure function of its snapshot. `out.verdict` is set
+/// before planning, so it survives a planner exception.
+void plan_guarded(Planner& planner, MeasurementSnapshot snap,
+                  InterferenceModelKind kind,
+                  const std::vector<FlowSpec>& flows, const PlanConfig& cfg,
+                  const GuardConfig& guard, GuardedPlan& out,
+                  std::size_t mis_cap = 200000);
 
 }  // namespace meshopt

@@ -4,8 +4,14 @@
 #include <bit>
 
 #include "obs/obs.h"
+#include "opt/decompose.h"
 
 namespace meshopt {
+
+Planner::Planner(std::size_t cache_entries) : capacity_(cache_entries) {}
+Planner::~Planner() = default;
+Planner::Planner(Planner&&) noexcept = default;
+Planner& Planner::operator=(Planner&&) noexcept = default;
 
 bool Planner::matches(const Entry& e, const MeasurementSnapshot& snap,
                       InterferenceModelKind kind, std::size_t mis_cap) {
@@ -110,14 +116,17 @@ RatePlan Planner::plan(const MeasurementSnapshot& snap,
                        const std::vector<FlowSpec>& flows,
                        const PlanConfig& cfg, std::size_t mis_cap,
                        bool cacheable) {
-  const InterferenceModel& m = model(snap, kind, mis_cap, cacheable);
-  ColumnGenOptimizer* warm = nullptr;
-  if (cfg.tier == PlanTier::kFast && last_entry_ != nullptr) {
-    if (!last_entry_->column_gen)
-      last_entry_->column_gen = std::make_unique<ColumnGenOptimizer>();
-    warm = last_entry_->column_gen.get();
-    warm->set_observer(obs_);
+  if (cfg.decompose) {
+    if (!decomposed_) {
+      decomposed_ = std::make_unique<DecomposedPlanner>();
+      decomposed_->set_observer(obs_);
+    }
+    return decomposed_->plan(snap, kind, flows, cfg, mis_cap, cacheable);
   }
+  const InterferenceModel& m = model(snap, kind, mis_cap, cacheable);
+  ColumnGenOptimizer* warm =
+      cfg.tier == PlanTier::kFast ? last_entry_column_gen() : nullptr;
+  if (warm != nullptr) warm->set_observer(obs_);
   return plan_rates(snap, m, flows, cfg, warm);
 }
 
@@ -128,12 +137,28 @@ ColumnGenOptimizer* Planner::last_entry_column_gen() {
   return last_entry_->column_gen.get();
 }
 
+PlannerStats Planner::stats_snapshot() const {
+  PlannerStats total = stats_;
+  if (decomposed_) total += decomposed_->planner_stats_snapshot();
+  return total;
+}
+
+DecomposeStats Planner::decompose_stats() const {
+  return decomposed_ ? decomposed_->stats() : DecomposeStats{};
+}
+
+void Planner::set_observer(TraceRecorder* obs) {
+  obs_ = obs;
+  if (decomposed_) decomposed_->set_observer(obs);
+}
+
 void Planner::clear() {
   entries_.clear();
   last_entry_ = nullptr;
   uncached_.reset();
   clock_ = 0;
   stats_ = PlannerStats{};
+  decomposed_.reset();
 }
 
 }  // namespace meshopt

@@ -43,6 +43,8 @@
 
 namespace meshopt {
 
+class DecomposedPlanner;
+struct DecomposeStats;
 class TraceRecorder;
 
 /// Cache accounting, cumulative since construction (or clear()).
@@ -56,6 +58,14 @@ struct PlannerStats {
   /// them as misses would make hit-rate accounting under faults dishonest
   /// (a fault storm would look like cache thrash).
   std::uint64_t uncacheable_plans = 0;
+
+  PlannerStats& operator+=(const PlannerStats& o) {
+    hits += o.hits;
+    misses += o.misses;
+    evictions += o.evictions;
+    uncacheable_plans += o.uncacheable_plans;
+    return *this;
+  }
 };
 
 /// Model/plan stages with a topology-keyed cache of the MIS enumeration.
@@ -63,8 +73,10 @@ class Planner {
  public:
   /// `cache_entries` bounds the LRU; 0 disables caching entirely (every
   /// model() call rebuilds — the uncached reference behavior).
-  explicit Planner(std::size_t cache_entries = 8)
-      : capacity_(cache_entries) {}
+  explicit Planner(std::size_t cache_entries = 8);
+  ~Planner();
+  Planner(Planner&&) noexcept;
+  Planner& operator=(Planner&&) noexcept;
 
   /// Build — or reuse — the interference model for `snap`. The returned
   /// reference stays valid until the next model()/plan()/clear() call.
@@ -100,6 +112,11 @@ class Planner {
   /// across topologies); uncached and uncacheable calls run the fast tier
   /// cold. The exact tier is unaffected and stays bit-identical to the
   /// uncached build + plan_rates path.
+  ///
+  /// With cfg.decompose set, the round goes to a DecomposedPlanner this
+  /// planner owns, created on first use without a pool (a Planner may run
+  /// inside a pool job). It keeps its own per-component and fallback
+  /// caches; this planner's LRU serves only monolithic rounds.
   [[nodiscard]] RatePlan plan(const MeasurementSnapshot& snap,
                               InterferenceModelKind kind,
                               const std::vector<FlowSpec>& flows,
@@ -115,18 +132,23 @@ class Planner {
   /// entry-owned working columns and basis, exactly as plan() would.
   [[nodiscard]] ColumnGenOptimizer* last_entry_column_gen();
 
+  /// Counters of this planner's own LRU (the monolithic rounds).
   [[nodiscard]] const PlannerStats& stats() const { return stats_; }
 
-  /// Value copy of the counters, taken between plan() calls — the
-  /// serving layer's per-interval metrics windows diff two snapshots (or
-  /// snapshot + reset) without disturbing the counters themselves.
-  /// Planner is single-owner (no concurrent calls), so a snapshot is
-  /// atomic by construction: it can never observe a half-updated round.
-  [[nodiscard]] PlannerStats stats_snapshot() const { return stats_; }
+  /// Value copy of the counters of every cache this planner drives: its
+  /// own LRU plus the decomposition tier's planners. The serving layer's
+  /// metrics windows diff two snapshots; single ownership makes each one
+  /// atomic (it can never observe a half-updated round).
+  [[nodiscard]] PlannerStats stats_snapshot() const;
 
-  /// Zero the counters WITHOUT touching the cache: resident topologies,
-  /// LRU order, and fast-tier warm state all survive, so resetting a
-  /// metrics window never costs a re-enumeration (unlike clear()).
+  /// Counters of the decomposition tier (opt/decompose.h); all zero until
+  /// a cfg.decompose round has run.
+  [[nodiscard]] DecomposeStats decompose_stats() const;
+
+  /// Zero this planner's own counters WITHOUT touching the cache:
+  /// resident topologies, LRU order, and fast-tier warm state all
+  /// survive, so resetting a metrics window never costs a re-enumeration
+  /// (unlike clear()).
   void reset_stats() { stats_ = PlannerStats{}; }
   /// Entries currently resident (<= capacity()).
   [[nodiscard]] std::size_t cached_topologies() const {
@@ -134,7 +156,7 @@ class Planner {
   }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Drop every cached topology and reset the stats.
+  /// Drop every cached topology, the decomposition tier, and the stats.
   void clear();
 
   /// Attach a trace recorder (borrowed; nullptr detaches). model() then
@@ -142,9 +164,10 @@ class Planner {
   /// uncacheable, evict, each carrying the topology fingerprint — plus a
   /// kModel span around Bron–Kerbosch on the build path, and plan()
   /// forwards the recorder to the entry-owned column-generation warm
-  /// state. Records are stamped with the recorder's ambient (lane, round)
-  /// context, which the owning controller/service maintains.
-  void set_observer(TraceRecorder* obs) { obs_ = obs; }
+  /// state and to the decomposition tier. Records are stamped with the
+  /// recorder's ambient (lane, round) context, which the owning
+  /// controller/service maintains.
+  void set_observer(TraceRecorder* obs);
   [[nodiscard]] TraceRecorder* observer() const { return obs_; }
 
  private:
@@ -187,6 +210,8 @@ class Planner {
   /// live in their entries instead.
   std::optional<InterferenceModel> uncached_;
   std::vector<double> caps_scratch_;
+  /// The decomposition tier, created by the first cfg.decompose round.
+  std::unique_ptr<DecomposedPlanner> decomposed_;
 };
 
 }  // namespace meshopt

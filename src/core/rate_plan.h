@@ -43,6 +43,11 @@ struct PlanConfig {
   /// a 1e-6 relative gap of kExact (CI-pinned) but NOT bit-identical to
   /// it; still a deterministic function of (inputs, replay configuration).
   PlanTier tier = PlanTier::kExact;
+  /// Plan through the decomposition tier (opt/decompose.h): Planner::plan
+  /// hands the round to the DecomposedPlanner it owns, which solves each
+  /// interference component apart and falls back to a monolithic solve on
+  /// connected rounds, cross-component flows and degenerate inputs.
+  bool decompose = false;
 };
 
 /// One rate-limiter program: flow `flow_id` shaped to `x_bps` input rate.

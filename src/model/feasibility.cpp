@@ -71,23 +71,6 @@ void refresh_extreme_point_matrix(const std::vector<double>& capacities,
   }
 }
 
-std::vector<std::vector<double>> build_extreme_points(
-    const std::vector<double>& capacities, const ConflictGraph& conflicts) {
-  const int l = static_cast<int>(capacities.size());
-  if (conflicts.size() != l)
-    throw std::invalid_argument(
-        "extreme points: conflict graph size != link count");
-  std::vector<std::vector<double>> points;
-  for (const auto& mis : conflicts.maximal_independent_sets()) {
-    std::vector<double> c(static_cast<std::size_t>(l), 0.0);
-    for (int link : mis)
-      c[static_cast<std::size_t>(link)] =
-          capacities[static_cast<std::size_t>(link)];
-    points.push_back(std::move(c));
-  }
-  return points;
-}
-
 FeasibilityRegion::FeasibilityRegion(DenseMatrix extreme_points)
     : points_(std::move(extreme_points)) {
   if (points_.rows() == 0)

@@ -45,15 +45,6 @@ void fill_extreme_point_matrix(const std::vector<double>& capacities,
 void refresh_extreme_point_matrix(const std::vector<double>& capacities,
                                   const MisRowSet& rows, DenseMatrix& out);
 
-/// Eq. (4), legacy nested-vector output (rows in the sorted-set order of
-/// ConflictGraph::maximal_independent_sets()).
-///
-/// DEPRECATED for hot paths: materializes the MIS list first. Prefer
-/// build_extreme_point_matrix(); see ARCHITECTURE.md ("MIS output
-/// migration").
-[[nodiscard]] std::vector<std::vector<double>> build_extreme_points(
-    const std::vector<double>& capacities, const ConflictGraph& conflicts);
-
 /// Convex polytope spanned by extreme points, with downward closure.
 class FeasibilityRegion {
  public:

@@ -14,6 +14,14 @@ namespace meshopt {
 
 namespace {
 
+/// Fall back to the monolithic planner below this many components (a
+/// connected graph gains nothing from the decomposition machinery).
+constexpr int kMinComponents = 2;
+/// Planner LRU entries per component slot.
+constexpr std::size_t kComponentCache = 4;
+/// Planner LRU entries of the monolithic fallback planner.
+constexpr std::size_t kFallbackCache = 8;
+
 /// Per-round working state of one ACTIVE component (a component with at
 /// least one assigned flow). Owns everything its phase-A job writes, so
 /// pool jobs touch disjoint memory and the round is bit-identical across
@@ -54,6 +62,9 @@ bool concave_objective(Objective o) {
 
 }  // namespace
 
+DecomposedPlanner::DecomposedPlanner(SweepRunner* pool)
+    : pool_(pool), fallback_(kFallbackCache) {}
+
 RatePlan DecomposedPlanner::fallback_plan(const MeasurementSnapshot& snap,
                                           InterferenceModelKind kind,
                                           const std::vector<FlowSpec>& flows,
@@ -70,7 +81,11 @@ RatePlan DecomposedPlanner::fallback_plan(const MeasurementSnapshot& snap,
       code = ObsCode::kFallbackCross;
     obs_->emit(ObsStage::kComponent, ObsKind::kEvent, code);
   }
-  return fallback_.plan(snap, kind, flows, cfg, mis_cap, cacheable);
+  // The fallback plans monolithically: a decompose flag passed through
+  // would route it straight back into a decomposition tier of its own.
+  PlanConfig monolithic = cfg;
+  monolithic.decompose = false;
+  return fallback_.plan(snap, kind, flows, monolithic, mis_cap, cacheable);
 }
 
 RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
@@ -95,7 +110,7 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
                         return snap.is_neighbor(a, b);
                       });
   ComponentPartition part = graph.connected_components();
-  if (part.count() < cfg_.min_components)
+  if (part.count() < kMinComponents)
     return fallback_plan(snap, kind, flows, cfg, mis_cap, cacheable,
                          &DecomposeStats::fallback_connected);
 
@@ -138,10 +153,12 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
     }
   }
   if (!reuse) {
+    for (const std::unique_ptr<Slot>& slot : slots_)
+      retired_ += slot->planner.stats();
     slots_.clear();
     slots_.reserve(part.members.size());
     for (const std::vector<int>& members : part.members)
-      slots_.push_back(std::make_unique<Slot>(members, cfg_.component_cache));
+      slots_.push_back(std::make_unique<Slot>(members, kComponentCache));
     ++stats_.partition_rebuilds;
   }
   partition_ = std::move(part);
@@ -361,13 +378,9 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
 
 PlannerStats DecomposedPlanner::planner_stats_snapshot() const {
   PlannerStats total = fallback_.stats_snapshot();
-  for (const std::unique_ptr<Slot>& slot : slots_) {
-    const PlannerStats& s = slot->planner.stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.evictions += s.evictions;
-    total.uncacheable_plans += s.uncacheable_plans;
-  }
+  total += retired_;
+  for (const std::unique_ptr<Slot>& slot : slots_)
+    total += slot->planner.stats();
   return total;
 }
 
@@ -375,13 +388,6 @@ const PlannerStats& DecomposedPlanner::component_planner_stats(int c) const {
   if (c < 0 || c >= static_cast<int>(slots_.size()))
     throw std::out_of_range("DecomposedPlanner: component index");
   return slots_[static_cast<std::size_t>(c)]->planner.stats();
-}
-
-void DecomposedPlanner::clear() {
-  fallback_.clear();
-  slots_.clear();
-  partition_ = ComponentPartition{};
-  stats_ = DecomposeStats{};
 }
 
 }  // namespace meshopt

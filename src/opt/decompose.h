@@ -50,14 +50,19 @@
 // precision, not bit-for-bit) — pinned by tests/test_decompose.cpp.
 //
 // Fallbacks (counted in DecomposeStats): rounds whose conflict graph is
-// connected (fewer components than DecomposeConfig::min_components), whose
-// flows span components or cross no modeled link, or with degenerate
-// inputs plan through an ordinary monolithic Planner instead.
+// connected (fewer than two components), whose flows span components or
+// cross no modeled link, or with degenerate inputs plan through an
+// ordinary monolithic Planner instead.
+//
+// Wiring: Planner::plan routes PlanConfig::decompose rounds to a
+// DecomposedPlanner it owns, so fleet replay, PlanService and every other
+// Planner user select the tier per PlanConfig. City studies and the
+// replay_city benchmark construct one directly, optionally with a pool.
 //
 // Thread-safety: single-owner, like Planner. The optional SweepRunner is
 // used for per-component phase jobs; pass nullptr when plan() itself runs
-// inside a pool job (SweepRunner is not re-entrant) — ControllerFleet and
-// PlanService embed exactly that configuration.
+// inside a pool job (SweepRunner is not re-entrant) — the Planner-owned
+// instance is always built that way.
 
 #include <cstddef>
 #include <cstdint>
@@ -74,21 +79,6 @@
 #include "sweep/sweep_runner.h"
 
 namespace meshopt {
-
-/// Tuning knobs of the decomposition tier.
-struct DecomposeConfig {
-  /// Fall back to the monolithic planner when the conflict graph yields
-  /// fewer components than this (a connected graph gains nothing from the
-  /// decomposition machinery).
-  int min_components = 2;
-  /// Planner LRU entries per component slot.
-  std::size_t component_cache = 4;
-  /// Planner LRU entries of the monolithic fallback planner.
-  std::size_t fallback_cache = 8;
-
-  friend bool operator==(const DecomposeConfig&,
-                         const DecomposeConfig&) = default;
-};
 
 /// Cumulative counters across a DecomposedPlanner's lifetime.
 struct DecomposeStats {
@@ -119,16 +109,14 @@ class DecomposedPlanner {
   /// `pool`, when non-null, runs per-component model/solve phases as pool
   /// jobs (NOT owned; must outlive the planner). Pass nullptr from inside
   /// pool jobs — SweepRunner is not re-entrant.
-  explicit DecomposedPlanner(DecomposeConfig cfg = {},
-                             SweepRunner* pool = nullptr)
-      : cfg_(cfg), pool_(pool), fallback_(cfg.fallback_cache) {}
+  explicit DecomposedPlanner(SweepRunner* pool = nullptr);
 
   /// Plan one round, decomposing when the interference graph separates
   /// and every flow stays inside one component; otherwise fall back to a
-  /// monolithic solve (same signature and semantics as Planner::plan, so
-  /// replay/serving layers can swap the two). `cacheable = false`
-  /// propagates to every component planner (repaired snapshots never
-  /// become resident cache entries, as in Planner).
+  /// monolithic solve (same signature and semantics as Planner::plan;
+  /// cfg.decompose is ignored, and the fallback planner never sees it).
+  /// `cacheable = false` propagates to every component planner (repaired
+  /// snapshots never become resident cache entries, as in Planner).
   [[nodiscard]] RatePlan plan(const MeasurementSnapshot& snap,
                               InterferenceModelKind kind,
                               const std::vector<FlowSpec>& flows,
@@ -137,12 +125,11 @@ class DecomposedPlanner {
                               bool cacheable = true);
 
   [[nodiscard]] const DecomposeStats& stats() const { return stats_; }
-  /// Value copy of the counters (the serving layer diffs two snapshots).
-  [[nodiscard]] DecomposeStats stats_snapshot() const { return stats_; }
 
   /// Aggregated Planner counters: the fallback planner plus every
-  /// component slot, summed — the drop-in replacement for
-  /// Planner::stats_snapshot() in serving metrics.
+  /// component slot, live or torn down by a partition change, summed —
+  /// cumulative like Planner::stats(), so serving metrics that diff two
+  /// snapshots never see a counter go backwards.
   [[nodiscard]] PlannerStats planner_stats_snapshot() const;
 
   /// The most recent decomposed round's partition (empty before one).
@@ -156,9 +143,6 @@ class DecomposedPlanner {
   /// Cache counters of one component's private planner.
   /// @throws std::out_of_range on an invalid component index.
   [[nodiscard]] const PlannerStats& component_planner_stats(int c) const;
-
-  /// Drop all partition state, component slots, and counters.
-  void clear();
 
   /// Attach a trace recorder (borrowed; nullptr detaches). Fallback rounds
   /// emit a kComponent event naming the reason (degenerate / connected /
@@ -196,11 +180,12 @@ class DecomposedPlanner {
                          const PlanConfig& cfg, std::size_t mis_cap,
                          bool cacheable, std::uint64_t DecomposeStats::*why);
 
-  DecomposeConfig cfg_;
   SweepRunner* pool_ = nullptr;  ///< not owned; may be null
   Planner fallback_;
   ComponentPartition partition_;
   std::vector<std::unique_ptr<Slot>> slots_;
+  /// Planner counters of the component slots a partition change tore down.
+  PlannerStats retired_;
   DecomposeStats stats_;
   TraceRecorder* obs_ = nullptr;  ///< borrowed; see set_observer()
 };

@@ -40,7 +40,7 @@ struct TenantCounters {
   std::uint64_t cache_hits = 0;        ///< tenant Planner cache hits
   std::uint64_t cache_misses = 0;      ///< tenant Planner cache misses
   std::uint64_t uncacheable_plans = 0; ///< repaired-snapshot planner calls
-  /// Decomposition-tier tenants only (TenantConfig::decompose): rounds
+  /// Decomposition-tier tenants only (PlanConfig::decompose): rounds
   /// planned per interference component, and how many active components
   /// those rounds spanned (DecomposeStats, diffed per served round).
   std::uint64_t decomposed_rounds = 0;
@@ -81,6 +81,13 @@ class ServeMetrics {
   }
   [[nodiscard]] ServeCounters& global() { return global_; }
   [[nodiscard]] const ServeCounters& global() const { return global_; }
+
+  /// Add `n` to one of tenant `id`'s counters and to its global total.
+  void count(std::size_t id, std::uint64_t TenantCounters::*counter,
+             std::uint64_t n = 1) {
+    tenant_[id].*counter += n;
+    global_.totals.*counter += n;
+  }
 
   /// Record one served round's enqueue->served latency in scheduler ticks
   /// (deterministic) into the tenant's and the global tick histograms.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "opt/decompose.h"
 #include "util/rng.h"
 
 namespace meshopt {
@@ -84,22 +85,18 @@ SubmitResult PlanService::admit(std::uint32_t tenant,
                                 const MeasurementSnapshot& snap,
                                 std::uint64_t round_seq, bool auto_seq,
                                 long long tick) {
-  ServeCounters& g = metrics_.global();
   if (tenant >= sessions_.size()) {
-    ++g.shed_unknown_tenant;
+    ++metrics_.global().shed_unknown_tenant;
     return {SubmitStatus::kShedUnknownTenant, 0};
   }
   TenantSession& s = sessions_[tenant];
-  TenantCounters& tc = metrics_.tenant(tenant);
-  ++tc.submitted;
-  ++g.totals.submitted;
+  metrics_.count(tenant, &TenantCounters::submitted);
   if (auto_seq) {
     round_seq = s.high_seq + 1;
   } else if (round_seq <= s.high_seq) {
     // The wire path's stale shed: a client replaying an old round (or a
     // reordered stream) must not roll a tenant's sequence backwards.
-    ++tc.shed_stale_round;
-    ++g.totals.shed_stale_round;
+    metrics_.count(tenant, &TenantCounters::shed_stale_round);
     return {SubmitStatus::kShedStaleRound, round_seq};
   }
 
@@ -114,22 +111,18 @@ SubmitResult PlanService::admit(std::uint32_t tenant,
     back.enqueue_wall = std::chrono::steady_clock::now();
     back.snapshot = snap;
     s.high_seq = round_seq;
-    ++tc.coalesced;
-    ++g.totals.coalesced;
-    ++tc.accepted;
-    ++g.totals.accepted;
+    metrics_.count(tenant, &TenantCounters::coalesced);
+    metrics_.count(tenant, &TenantCounters::accepted);
     return {SubmitStatus::kCoalesced, round_seq};
   }
 
   if (s.queue.size() >=
       static_cast<std::size_t>(std::max(1, s.cfg.queue_limit))) {
-    ++tc.shed_queue_full;
-    ++g.totals.shed_queue_full;
+    metrics_.count(tenant, &TenantCounters::shed_queue_full);
     return {SubmitStatus::kShedTenantQueueFull, round_seq};
   }
   if (pending_ >= cfg_.global_queue_limit) {
-    ++tc.shed_global_full;
-    ++g.totals.shed_global_full;
+    metrics_.count(tenant, &TenantCounters::shed_global_full);
     return {SubmitStatus::kShedGlobalQueueFull, round_seq};
   }
 
@@ -141,8 +134,7 @@ SubmitResult PlanService::admit(std::uint32_t tenant,
   s.queue.push_back(std::move(p));
   s.high_seq = round_seq;
   ++pending_;
-  ++tc.accepted;
-  ++g.totals.accepted;
+  metrics_.count(tenant, &TenantCounters::accepted);
   return {SubmitStatus::kAccepted, round_seq};
 }
 
@@ -192,9 +184,8 @@ ServeBatchReport PlanService::run_batch(long long tick) {
   // the batch output is in tenant order whatever thread ran what (the
   // SweepRunner determinism contract). Jobs touch disjoint state: item i,
   // outs[i], and tenant i's session only.
-  struct JobOut {
-    SnapshotVerdict verdict = SnapshotVerdict::kClean;
-    RatePlan plan;
+  // Unguarded rounds keep the default (kClean) verdict.
+  struct JobOut : GuardedPlan {
     std::string error;
   };
   std::vector<JobOut> outs(items.size());
@@ -215,48 +206,20 @@ ServeBatchReport PlanService::run_batch(long long tick) {
           local = s.recorder.get();
           local->set_context(item.tenant, item.req.round_seq);
         }
-        if (s.decomposed)
-          s.decomposed->set_observer(local);
-        else
-          s.planner.set_observer(local);
-        // Decomposition-tier sessions plan through their embedded
-        // DecomposedPlanner; the call contract is identical, so the
-        // guarded path below stays shared.
-        const auto plan_round = [&s](MeasurementSnapshot& snap,
-                                     bool cacheable) {
-          return s.decomposed
-                     ? s.decomposed->plan(snap, s.cfg.interference,
-                                          s.cfg.flows, s.cfg.plan, 200000,
-                                          cacheable)
-                     : s.planner.plan(snap, s.cfg.interference, s.cfg.flows,
-                                      s.cfg.plan, 200000, cacheable);
-        };
-        bool guard_rejected = false;
+        s.planner.set_observer(local);
         {
           ObsSpan serve_span(local, ObsStage::kServe, ObsCode::kServeOk);
           try {
-            if (s.cfg.guarded) {
-              // Replay-style guarded round (mirrors the fleet's): the
-              // repair tier mutates the pending snapshot we own, repaired
-              // inputs keep the planner cache read-only, and the plan
-              // guardrails run before anything is served.
-              const SnapshotValidator validator(s.cfg.guard.snapshot);
-              const ValidationReport report =
-                  validator.validate(item.req.snapshot);
-              out.verdict = report.verdict;
-              if (report.usable()) {
-                const bool clean = report.verdict == SnapshotVerdict::kClean;
-                out.plan = plan_round(item.req.snapshot, /*cacheable=*/clean);
-                const PlanValidator guard(s.cfg.guard.plan);
-                if (!guard.validate(out.plan, item.req.snapshot, s.cfg.flows)
-                         .ok) {
-                  out.plan = RatePlan{};
-                  guard_rejected = true;
-                }
-              }
-            } else {
-              out.plan = plan_round(item.req.snapshot, /*cacheable=*/true);
-            }
+            // The pending snapshot is ours: a guarded round's repair tier
+            // may mutate it.
+            if (s.cfg.guarded)
+              plan_guarded(s.planner, std::move(item.req.snapshot),
+                           s.cfg.interference, s.cfg.flows, s.cfg.plan,
+                           s.cfg.guard, out);
+            else
+              out.plan = s.planner.plan(item.req.snapshot,
+                                        s.cfg.interference, s.cfg.flows,
+                                        s.cfg.plan);
           } catch (const std::exception& e) {
             // Round isolation, as fleet cells: a poisoned snapshot fails
             // its own round deterministically (the text is a pure function
@@ -270,7 +233,7 @@ ServeBatchReport PlanService::run_batch(long long tick) {
         if (local != nullptr) {
           if (!out.error.empty())
             local->trigger_incident(ObsCode::kServeError, out.error);
-          else if (guard_rejected)
+          else if (out.plan_rejected)
             local->trigger_incident(ObsCode::kPlanReject,
                                     "serve: plan guardrail reject");
         }
@@ -290,56 +253,40 @@ ServeBatchReport PlanService::run_batch(long long tick) {
     Item& item = items[i];
     JobOut& out = outs[i];
     TenantSession& s = sessions_[item.tenant];
-    TenantCounters& tc = metrics_.tenant(item.tenant);
+    const auto meter = [&](std::uint64_t TenantCounters::*counter,
+                           std::uint64_t n = 1) {
+      metrics_.count(item.tenant, counter, n);
+    };
 
     switch (out.verdict) {
       case SnapshotVerdict::kClean:
-        ++tc.snapshots_clean;
-        ++g.totals.snapshots_clean;
+        meter(&TenantCounters::snapshots_clean);
         break;
       case SnapshotVerdict::kRepaired:
-        ++tc.snapshots_repaired;
-        ++g.totals.snapshots_repaired;
+        meter(&TenantCounters::snapshots_repaired);
         break;
       case SnapshotVerdict::kRejected:
-        ++tc.snapshots_rejected;
-        ++g.totals.snapshots_rejected;
+        meter(&TenantCounters::snapshots_rejected);
         break;
     }
-    if (out.plan.ok) {
-      ++tc.plans_served;
-      ++g.totals.plans_served;
-    } else {
-      ++tc.plans_failed;
-      ++g.totals.plans_failed;
-    }
+    meter(out.plan.ok ? &TenantCounters::plans_served
+                      : &TenantCounters::plans_failed);
     // Meter the session planner by diffing stats snapshots (the
     // per-interval-window pattern Planner::stats_snapshot exists for).
-    // Decomposed sessions aggregate their fallback planner plus every
-    // component slot's planner into the same counters.
-    const PlannerStats ps = s.decomposed
-                                ? s.decomposed->planner_stats_snapshot()
-                                : s.planner.stats_snapshot();
-    tc.cache_hits += ps.hits - s.seen_stats.hits;
-    tc.cache_misses += ps.misses - s.seen_stats.misses;
-    tc.uncacheable_plans += ps.uncacheable_plans - s.seen_stats.uncacheable_plans;
-    g.totals.cache_hits += ps.hits - s.seen_stats.hits;
-    g.totals.cache_misses += ps.misses - s.seen_stats.misses;
-    g.totals.uncacheable_plans +=
-        ps.uncacheable_plans - s.seen_stats.uncacheable_plans;
+    // The snapshot covers the decomposition tier's planners too.
+    const PlannerStats ps = s.planner.stats_snapshot();
+    const DecomposeStats ds = s.planner.decompose_stats();
+    meter(&TenantCounters::cache_hits, ps.hits - s.seen_stats.hits);
+    meter(&TenantCounters::cache_misses, ps.misses - s.seen_stats.misses);
+    meter(&TenantCounters::uncacheable_plans,
+          ps.uncacheable_plans - s.seen_stats.uncacheable_plans);
+    meter(&TenantCounters::decomposed_rounds,
+          ds.decomposed_rounds - s.seen_decomposed_rounds);
+    meter(&TenantCounters::components_planned,
+          ds.components_planned - s.seen_components_planned);
     s.seen_stats = ps;
-    if (s.decomposed) {
-      const DecomposeStats ds = s.decomposed->stats_snapshot();
-      tc.decomposed_rounds += ds.decomposed_rounds -
-                              s.seen_decompose.decomposed_rounds;
-      tc.components_planned += ds.components_planned -
-                               s.seen_decompose.components_planned;
-      g.totals.decomposed_rounds += ds.decomposed_rounds -
-                                    s.seen_decompose.decomposed_rounds;
-      g.totals.components_planned += ds.components_planned -
-                                     s.seen_decompose.components_planned;
-      s.seen_decompose = ds;
-    }
+    s.seen_decomposed_rounds = ds.decomposed_rounds;
+    s.seen_components_planned = ds.components_planned;
 
     metrics_.record_tick_latency(
         item.tenant, static_cast<double>(tick - item.req.enqueue_tick));

@@ -11,11 +11,12 @@
 // tenants onto them:
 //
 //   * TenantRegistry (inside PlanService): each tenant registers flows,
-//     plan tier, interference model, guard tuning, and its own Planner
-//     cache budget; the service keeps one TenantSession per tenant —
-//     a private Planner (cross-round cache + column-generation warm
-//     state), a monotonically increasing round sequence, and a bounded
-//     pending queue.
+//     plan config (tier, decomposition), interference model, guard tuning,
+//     and its own Planner cache budget; the service keeps one
+//     TenantSession per tenant — a private Planner (cross-round cache +
+//     column-generation warm state), a monotonically increasing round
+//     sequence, and a bounded pending queue. Guarded tenants run
+//     plan_guarded() (core/guard.h), as guarded fleet replay does.
 //   * Admission/backpressure: per-tenant and global queue bounds with a
 //     deterministic shed policy (structured SubmitStatus reasons), plus
 //     oldest-round coalescing — a newer snapshot for a tenant supersedes
@@ -48,7 +49,6 @@
 #include "core/rate_plan.h"
 #include "core/snapshot.h"
 #include "obs/obs.h"
-#include "opt/decompose.h"
 #include "serve/metrics.h"
 #include "serve/wire.h"
 #include "sweep/sweep_runner.h"
@@ -58,7 +58,7 @@ namespace meshopt {
 /// Per-tenant registration: what to plan and how.
 struct TenantConfig {
   std::vector<FlowSpec> flows;  ///< flows to plan (paths over snapshot links)
-  PlanConfig plan{};            ///< objective / optimizer tuning / plan tier
+  PlanConfig plan{};  ///< objective / tuning / plan tier / decomposition
   InterferenceModelKind interference = InterferenceModelKind::kTwoHop;
   /// Validate (and repair) every submitted snapshot and guardrail every
   /// plan, replay-style: rejected inputs yield a default (ok == false)
@@ -67,6 +67,7 @@ struct TenantConfig {
   bool guarded = false;
   GuardConfig guard{};
   /// Planner LRU entries for this tenant's session (0 = uncached).
+  /// Decomposed tenants keep fixed per-component caches instead.
   std::size_t planner_cache = 4;
   /// Pending-round bound; submissions beyond it shed (or coalesce).
   int queue_limit = 4;
@@ -74,15 +75,6 @@ struct TenantConfig {
   /// of queueing behind it: a coalescing tenant always planning its
   /// freshest measurements, with an effective queue depth of one.
   bool coalesce = true;
-  /// Plan this tenant through the decomposition tier (opt/decompose.h):
-  /// the session embeds a DecomposedPlanner (no nested pool — the batch
-  /// job already runs on the service's SweepRunner) with per-component
-  /// model caches and warm state, plus automatic monolithic fallback on
-  /// connected snapshots. `planner_cache` is ignored in favor of
-  /// `decompose_config`'s cache budgets. Metered through the
-  /// TenantCounters::decomposed_rounds / components_planned counters.
-  bool decompose = false;
-  DecomposeConfig decompose_config{};
 };
 
 /// Structured outcome of one submit attempt — the admission layer's shed
@@ -279,10 +271,6 @@ class PlanService {
   struct TenantSession {
     TenantConfig cfg;
     Planner planner;
-    /// Engaged when cfg.decompose: the session plans through this instead
-    /// of `planner` (which then stays idle). Behind a unique_ptr so the
-    /// session remains cheap — and movable — for monolithic tenants.
-    std::unique_ptr<DecomposedPlanner> decomposed;
     std::uint64_t high_seq = 0;         ///< highest accepted sequence
     std::uint64_t last_served_seq = 0;
     RatePlan last_plan;
@@ -291,15 +279,12 @@ class PlanService {
     /// session Planner) and run_batch absorbs it in batch order.
     std::unique_ptr<TraceRecorder> recorder;
     PlannerStats seen_stats;  ///< planner counters already metered
-    DecomposeStats seen_decompose;  ///< decompose counters already metered
+    std::uint64_t seen_decomposed_rounds = 0;  ///< already metered
+    std::uint64_t seen_components_planned = 0;  ///< already metered
     std::deque<Pending> queue;
 
     explicit TenantSession(TenantConfig c)
-        : cfg(std::move(c)), planner(cfg.planner_cache) {
-      if (cfg.decompose)
-        decomposed = std::make_unique<DecomposedPlanner>(cfg.decompose_config,
-                                                         /*pool=*/nullptr);
-    }
+        : cfg(std::move(c)), planner(cfg.planner_cache) {}
     // Move-only, and explicitly so: the Planner member holds fast-tier
     // warm state behind a unique_ptr, and without the deleted copy ctor
     // vector reallocation would try the (ill-formed) copy path because

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/guard.h"
 #include "core/planner.h"
@@ -112,48 +113,6 @@ FleetResult run_cell(const FleetCell& cell, const SweepJob& job,
   result.snapshot = ctl.snapshot();
   result.plan = ctl.last_plan();
   return result;
-}
-
-/// One guarded replay round: validate (repairing a copy), plan with the
-/// cache kept read-only for repaired inputs, guardrail the plan. Rejected
-/// snapshots and rejected plans yield a default (ok == false) RatePlan —
-/// a pure function of the round's snapshot, so segment sharding stays
-/// bit-identical (no last-known-good hold, no backoff; that state lives
-/// only in the live controller loop).
-/// PlannerT is Planner or DecomposedPlanner (identical plan() contracts).
-template <typename PlannerT>
-RatePlan guarded_replay_round(PlannerT& planner, const ReplayCell& cell,
-                              const MeasurementSnapshot& round,
-                              std::size_t mis_cap) {
-  MeasurementSnapshot snap = round;  // the repair tier mutates its copy
-  const SnapshotValidator validator(cell.guard.snapshot);
-  const ValidationReport report = validator.validate(snap);
-  if (!report.usable()) return RatePlan{};
-  const bool clean = report.verdict == SnapshotVerdict::kClean;
-  RatePlan plan = planner.plan(snap, cell.interference, cell.flows,
-                               cell.plan, mis_cap, /*cacheable=*/clean);
-  const PlanValidator guard(cell.guard.plan);
-  if (!guard.validate(plan, snap, cell.flows).ok) return RatePlan{};
-  return plan;
-}
-
-/// The shared segment walk, over either planner front end. When observed,
-/// the recorder's ambient context tracks (lane = cell, round) so the
-/// planner's cache/model/pricing records land on the round they belong to.
-template <typename PlannerT>
-void replay_segment(PlannerT& planner, const ReplayCell& cell,
-                    const std::vector<MeasurementSnapshot>& trace, int lo,
-                    int hi, std::size_t mis_cap, std::vector<RatePlan>& plans,
-                    TraceRecorder* obs, std::uint32_t lane) {
-  for (int r = lo; r < hi; ++r) {
-    if (obs != nullptr) obs->set_context(lane, static_cast<std::uint64_t>(r));
-    const MeasurementSnapshot& round = trace[static_cast<std::size_t>(r)];
-    plans[static_cast<std::size_t>(r)] =
-        cell.guarded
-            ? guarded_replay_round(planner, cell, round, mis_cap)
-            : planner.plan(round, cell.interference, cell.flows, cell.plan,
-                           mis_cap);
-  }
 }
 
 }  // namespace
@@ -267,21 +226,28 @@ std::vector<ReplayResult> ControllerFleet::replay(
         const std::uint64_t seg_t0 =
             local != nullptr ? local->now_ns() : 0;
         try {
-          if (opts.decompose) {
-            // Embedded without a nested pool: this job IS a pool job, and
-            // SweepRunner is not re-entrant. Per-component parallelism is
-            // for direct (non-fleet) DecomposedPlanner use; here the win
-            // is the per-component model/solve scaling itself.
-            DecomposedPlanner planner(opts.decompose_config,
-                                      /*pool=*/nullptr);
-            planner.set_observer(local);
-            replay_segment(planner, cell, trace, sj.lo, sj.hi, opts.mis_cap,
-                           plans, local, lane);
-          } else {
-            Planner planner(opts.planner_cache);
-            planner.set_observer(local);
-            replay_segment(planner, cell, trace, sj.lo, sj.hi, opts.mis_cap,
-                           plans, local, lane);
+          // The job plans every round through one Planner; decomposed
+          // cells get its pool-less DecomposedPlanner, since this job IS
+          // a pool job and SweepRunner is not re-entrant. When observed,
+          // the recorder's ambient context tracks (lane = cell, round) so
+          // the planner's records land on the round they belong to.
+          Planner planner(opts.planner_cache);
+          planner.set_observer(local);
+          for (int r = sj.lo; r < sj.hi; ++r) {
+            if (local != nullptr)
+              local->set_context(lane, static_cast<std::uint64_t>(r));
+            const MeasurementSnapshot& round =
+                trace[static_cast<std::size_t>(r)];
+            RatePlan& plan = plans[static_cast<std::size_t>(r)];
+            if (cell.guarded) {
+              GuardedPlan step;
+              plan_guarded(planner, round, cell.interference, cell.flows,
+                           cell.plan, cell.guard, step, opts.mis_cap);
+              plan = std::move(step.plan);
+            } else {
+              plan = planner.plan(round, cell.interference, cell.flows,
+                                  cell.plan, opts.mis_cap);
+            }
           }
           if (local != nullptr) {
             // One kSegment span per pool job, stamped at the segment's

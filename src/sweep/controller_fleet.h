@@ -23,7 +23,10 @@
 // Workbench, no RNG. One expensive recording run (a live fleet or a
 // MeshController in record_to() mode) then amortizes over thousands of
 // cheap planning runs, the record/replay methodology of fairness
-// studies over measured traces (arXiv:1002.1581).
+// studies over measured traces (arXiv:1002.1581). Each replay job plans
+// through one Planner, whose PlanConfig picks the tier and decomposition;
+// guarded cells run plan_guarded() (core/guard.h), as guarded serve
+// tenants do.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +35,6 @@
 #include <vector>
 
 #include "core/controller.h"
-#include "opt/decompose.h"
 #include "scenario/dynamics.h"
 #include "scenario/faults.h"
 #include "sweep/sweep_runner.h"
@@ -109,10 +111,11 @@ struct ReplayCell {
   /// plan.tier = PlanTier::kFast replays this cell through the
   /// column-generation planner (ARCHITECTURE.md, "Plan tiers"): per-round
   /// objectives stay within a 1e-6 relative gap of the exact tier, and
-  /// warm state carries across the rounds of a segment.
+  /// warm state carries across the rounds of a segment. plan.decompose
+  /// plans per interference component (opt/decompose.h).
   PlanConfig plan{};
   InterferenceModelKind interference = InterferenceModelKind::kTwoHop;
-  /// Guarded replay: validate (and repair) every round before planning;
+  /// Guarded replay: every round runs plan_guarded() (core/guard.h), so
   /// rejected rounds and guardrail-rejected plans yield a default
   /// (ok == false) RatePlan for that round instead of a poisoned one.
   /// Unlike the live guarded loop there is no last-known-good hold or
@@ -149,16 +152,8 @@ struct ReplayOptions {
   /// within the tier's gap bound (ARCHITECTURE.md, "Plan tiers").
   int segment_rounds = 0;
   /// Planner model-cache entries per job (0 = uncached reference path).
+  /// Decomposed cells keep fixed per-component caches instead.
   std::size_t planner_cache = 8;
-  /// Plan every round through the decomposition tier (opt/decompose.h):
-  /// each job embeds a DecomposedPlanner (no nested pool — SweepRunner is
-  /// not re-entrant), so separable city-scale rounds pay per-component
-  /// MIS enumeration and per-component solves instead of the monolithic
-  /// product space, with automatic monolithic fallback on connected
-  /// rounds. Same determinism contract as the planner path: bit-identical
-  /// across thread counts and repeated runs for a fixed ReplayOptions.
-  bool decompose = false;
-  DecomposeConfig decompose_config{};  ///< tuning when `decompose` is set
   /// Maximal-independent-set enumeration cap handed to the planner (the
   /// default matches Planner::plan). City-scale monolithic cells cap the
   /// exponential MIS space here; the decomposed tier enumerates per

@@ -136,8 +136,8 @@ TEST(Decompose, BitIdenticalAcrossPoolThreadCountsAndRuns) {
   // bit-identical (operator== covers y, x, shapers, and all metadata).
   SweepRunner pool1(1);
   SweepRunner pool4(4);
-  DecomposedPlanner a({}, &pool1);
-  DecomposedPlanner b({}, &pool4);
+  DecomposedPlanner a(&pool1);
+  DecomposedPlanner b(&pool4);
   DecomposedPlanner serial;  // no pool at all
   for (int r = 0; r < 3; ++r) {
     MeasurementSnapshot snap = build_city_snapshot(p);
@@ -288,16 +288,14 @@ TEST(Decompose, FleetReplayDecomposedMatchesMonolithic) {
   cell.flows = flows;
   cell.plan = plan_config(Objective::kProportionalFair, PlanTier::kFast);
   cell.interference = InterferenceModelKind::kLirTable;
-
-  ReplayOptions mono_opts;
-  ReplayOptions dec_opts;
-  dec_opts.decompose = true;
+  ReplayCell dec_cell = cell;
+  dec_cell.plan.decompose = true;
 
   ControllerFleet fleet1(1);
   ControllerFleet fleet4(4);
-  const auto mono = fleet1.replay({cell}, trace, mono_opts);
-  const auto dec1 = fleet1.replay({cell}, trace, dec_opts);
-  const auto dec4 = fleet4.replay({cell}, trace, dec_opts);
+  const auto mono = fleet1.replay({cell}, trace);
+  const auto dec1 = fleet1.replay({dec_cell}, trace);
+  const auto dec4 = fleet4.replay({dec_cell}, trace);
   ASSERT_TRUE(mono[0].ok);
   ASSERT_TRUE(dec1[0].ok);
   // Decomposed replay is bit-identical across fleet thread counts.
@@ -325,7 +323,7 @@ TEST(Decompose, PlanServiceDecomposedTenant) {
   mono.plan = plan_config(Objective::kMaxMin, PlanTier::kFast);
   mono.interference = InterferenceModelKind::kLirTable;
   TenantConfig dec = mono;
-  dec.decompose = true;
+  dec.plan.decompose = true;
   const std::uint32_t t_mono = service.add_tenant(mono);
   const std::uint32_t t_dec = service.add_tenant(dec);
 
@@ -349,6 +347,50 @@ TEST(Decompose, PlanServiceDecomposedTenant) {
   EXPECT_GT(tc.cache_hits, 0u);          // round 2 hit every active slot
   const TenantCounters& mc = service.metrics().tenant(t_mono);
   EXPECT_EQ(mc.decomposed_rounds, 0u);
+}
+
+TEST(Decompose, ServeCacheCountersSurvivePartitionChange) {
+  // Cache counters are cumulative, so a partition change that tears the
+  // component slots down must not take their hits and misses with it.
+  // Conflicts between clusters 0 and 1 merge them into one component:
+  // the tenant goes from three active components to two and back.
+  const CityParams p = small_city();
+  const MeasurementSnapshot separable = build_city_snapshot(p);
+  MeasurementSnapshot merged = separable;
+  for (const int a : city_cluster_links(p, 0))
+    for (const int b : city_cluster_links(p, 1))
+      merged.lir(a, b) = merged.lir(b, a) = p.conflict_lir;
+
+  ServeConfig sc;
+  sc.threads = 1;
+  PlanService service(sc);
+  TenantConfig cfg;
+  cfg.flows = city_flows(p);
+  cfg.plan = plan_config(Objective::kMaxMin, PlanTier::kFast);
+  cfg.plan.decompose = true;
+  cfg.interference = InterferenceModelKind::kLirTable;
+  const std::uint32_t t = service.add_tenant(cfg);
+
+  const MeasurementSnapshot* rounds[] = {&separable, &separable, &merged,
+                                         &separable};
+  const std::uint64_t components[] = {3, 3, 2, 3};
+  std::uint64_t planned = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (int r = 0; r < 4; ++r) {
+    ASSERT_TRUE(submit_accepted(service.submit(t, *rounds[r], r).status));
+    ASSERT_TRUE(service.run_batch(r).served.at(0).plan.ok) << "round " << r;
+    const TenantCounters& tc = service.metrics().tenant(t);
+    planned += components[r];
+    EXPECT_EQ(tc.components_planned, planned) << "round " << r;
+    EXPECT_GE(tc.cache_hits, hits) << "round " << r;
+    EXPECT_GE(tc.cache_misses, misses) << "round " << r;
+    hits = tc.cache_hits;
+    misses = tc.cache_misses;
+  }
+  // Every active slot misses on a fresh partition and hits on a repeat.
+  EXPECT_EQ(misses, 3u + 2u + 3u);
+  EXPECT_EQ(hits, 3u);
 }
 
 }  // namespace

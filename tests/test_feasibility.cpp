@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "model/two_link_analysis.h"
 #include "util/rng.h"
@@ -67,17 +69,18 @@ TEST(ExtremePoints, Eq4MapsIndependentSetsToCapacities) {
   ConflictGraph g(3);
   g.add_conflict(0, 1);
   g.add_conflict(1, 2);
-  const auto points = build_extreme_points({1.0, 2.0, 3.0}, g);
-  // Maximal independent sets: {0,2} and {1}.
+  auto points = build_extreme_point_matrix({1.0, 2.0, 3.0}, g).to_nested();
+  // Maximal independent sets: {0,2} and {1}, in either row order.
   ASSERT_EQ(points.size(), 2u);
-  // Sorted enumeration: {0,2} first.
-  EXPECT_EQ(points[0], (std::vector<double>{1.0, 0.0, 3.0}));
-  EXPECT_EQ(points[1], (std::vector<double>{0.0, 2.0, 0.0}));
+  std::sort(points.begin(), points.end());
+  EXPECT_EQ(points[0], (std::vector<double>{0.0, 2.0, 0.0}));
+  EXPECT_EQ(points[1], (std::vector<double>{1.0, 0.0, 3.0}));
 }
 
 TEST(ExtremePoints, NoConflictsYieldsFullVector) {
   ConflictGraph g(3);
-  const auto points = build_extreme_points({5.0, 6.0, 7.0}, g);
+  const auto points =
+      build_extreme_point_matrix({5.0, 6.0, 7.0}, g).to_nested();
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0], (std::vector<double>{5.0, 6.0, 7.0}));
 }
@@ -95,8 +98,9 @@ TEST(ExtremePoints, RegionFromCliqueIsTimeSharing) {
 }
 
 TEST(ExtremePoints, MatrixBridgeMatchesNestedPathAsSets) {
-  // The DenseMatrix bridge emits rows in enumeration order; the legacy
-  // nested path emits sorted sets. Same rows, possibly permuted.
+  // The DenseMatrix bridge emits rows in enumeration order; the
+  // canonical maximal_independent_sets() list is sorted. Eq. 4 over that
+  // list gives the same rows, possibly permuted.
   RngStream rng(11, "bridge");
   ConflictGraph g(10);
   for (int i = 0; i < 10; ++i)
@@ -106,7 +110,15 @@ TEST(ExtremePoints, MatrixBridgeMatchesNestedPathAsSets) {
   for (int i = 0; i < 10; ++i) caps.push_back(rng.uniform(0.5, 5.0));
 
   const DenseMatrix m = build_extreme_point_matrix(caps, g);
-  auto nested = build_extreme_points(caps, g);
+  std::vector<std::vector<double>> nested;
+  for (const auto& mis : g.maximal_independent_sets()) {
+    std::vector<double> row(caps.size(), 0.0);
+    for (const int link : mis) {
+      const auto l = static_cast<std::size_t>(link);
+      row[l] = caps[l];
+    }
+    nested.push_back(std::move(row));
+  }
   ASSERT_EQ(m.rows(), static_cast<int>(nested.size()));
   ASSERT_EQ(m.cols(), 10);
   auto from_matrix = m.to_nested();

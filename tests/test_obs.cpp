@@ -418,9 +418,9 @@ TEST(FleetTrace, ReplayTraceIsBitIdenticalAcrossThreadCounts) {
   cell.flows = city_flows(p);
   cell.plan.optimizer.objective = Objective::kProportionalFair;
   cell.plan.tier = PlanTier::kFast;
+  cell.plan.decompose = true;
   cell.interference = InterferenceModelKind::kLirTable;
   ReplayOptions opts;
-  opts.decompose = true;
   opts.segment_rounds = 2;
 
   auto run = [&](int threads, TraceRecorder& obs) {

@@ -589,8 +589,10 @@ CityParams small_city() {
 }
 
 TEST(PlanTiers, SmallCityPlanBitsPinned) {
-  // objective x tier x {Planner, DecomposedPlanner}: a cold round, then
-  // a warm one on drifted capacities, both in one digest. No golden
+  // objective x tier x {Planner, DecomposedPlanner, Planner with
+  // cfg.decompose}: a cold round, then a warm one on drifted capacities,
+  // both in one digest. The third front end routes through the second
+  // and must reproduce its decomp/* digests. No golden
   // covers these paths bit for bit (the decomposition tests compare with
   // the monolithic plan only to 1e-9). On these clique clusters the fast
   // tier's seed columns are the whole region, so both decomposed tiers
@@ -624,29 +626,33 @@ TEST(PlanTiers, SmallCityPlanBitsPinned) {
     drifted.links[l].estimate.capacity_bps *= 1.0 + 0.01 * (l % 3);
   const MeasurementSnapshot* rounds[] = {&cold, &drifted};
   const std::vector<FlowSpec> flows = city_flows(p);
-  std::size_t i = 0;
-  for (const bool decomposed : {false, true}) {
+  enum Front { kPlanner, kDecomposedPlanner, kPlannerDecompose };
+  for (const Front front : {kPlanner, kDecomposedPlanner, kPlannerDecompose}) {
+    std::size_t i = front == kPlanner ? 0 : 8;
     for (const PlanTier tier : {PlanTier::kExact, PlanTier::kFast}) {
       for (const ObjectiveCase& oc : objective_cases()) {
         PlanConfig cfg;
         cfg.optimizer = oc.cfg;
         cfg.tier = tier;
+        cfg.decompose = front == kPlannerDecompose;
         const Pin& pin = pins[i++];
         DecomposedPlanner decomposed_planner;
         Planner planner(4);
         Digest d;
         for (const MeasurementSnapshot* snap : rounds) {
           const RatePlan plan =
-              decomposed ? decomposed_planner.plan(
-                               *snap, InterferenceModelKind::kLirTable, flows,
-                               cfg)
-                         : planner.plan(*snap, InterferenceModelKind::kLirTable,
-                                        flows, cfg);
+              front == kDecomposedPlanner
+                  ? decomposed_planner.plan(
+                        *snap, InterferenceModelKind::kLirTable, flows, cfg)
+                  : planner.plan(*snap, InterferenceModelKind::kLirTable,
+                                 flows, cfg);
           ASSERT_TRUE(plan.ok) << pin.name;
           d.add(plan_digest(plan));
         }
-        if (decomposed)
+        if (front == kDecomposedPlanner)
           EXPECT_EQ(decomposed_planner.stats().decomposed_rounds, 2u);
+        if (front == kPlannerDecompose)
+          EXPECT_EQ(planner.decompose_stats().decomposed_rounds, 2u);
         EXPECT_EQ(d.h, pin.digest) << pin.name << ": 0x" << std::hex << d.h;
       }
     }

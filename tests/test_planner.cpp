@@ -2,7 +2,8 @@
 // capacity-only changes (and sensitivity to any neighbor/LIR edit), cache
 // hit/miss/eviction accounting, cached-vs-uncached model and plan
 // bit-identity on the live and replay paths, trace-segment sharding
-// bit-identity, and the two-stage build equivalence.
+// bit-identity, the two-stage build equivalence, and the routing of
+// PlanConfig::decompose rounds.
 
 #include <cstdint>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/rate_plan.h"
 #include "core/snapshot.h"
 #include "model/feasibility.h"
+#include "opt/decompose.h"
 #include "probe/live_source.h"
 #include "scenario/topologies.h"
 #include "scenario/workbench.h"
@@ -424,6 +426,36 @@ TEST(Planner, RegionReusesModelExtremePoints) {
   // A plan's link load is feasible in its own region.
   std::vector<double> load(snap.links.size(), 0.0);
   EXPECT_TRUE(region.contains(load));
+}
+
+TEST(Planner, DecomposeRoutesConnectedRoundToMonolithicFallback) {
+  // The chain's two-hop conflict graph is connected, so the decomposition
+  // tier falls back to its monolithic planner. That planner must plan
+  // without decomposing again, and give the decompose = false bits.
+  const MeasurementSnapshot snap = chain_snapshot();
+  std::vector<FlowSpec> flows(2);
+  flows[0] = {0, {0, 1, 2}, false};
+  flows[1] = {1, {3, 2}, false};
+  PlanConfig cfg;
+  Planner mono(4);
+  const RatePlan reference =
+      mono.plan(snap, InterferenceModelKind::kTwoHop, flows, cfg);
+  ASSERT_TRUE(reference.ok);
+
+  cfg.decompose = true;
+  Planner planner(4);
+  const RatePlan plan =
+      planner.plan(snap, InterferenceModelKind::kTwoHop, flows, cfg);
+  EXPECT_EQ(plan, reference);
+  const DecomposeStats ds = planner.decompose_stats();
+  EXPECT_EQ(ds.rounds, 1u);
+  EXPECT_EQ(ds.fallback_rounds, 1u);
+  EXPECT_EQ(ds.fallback_connected, 1u);
+  EXPECT_EQ(ds.decomposed_rounds, 0u);
+  // The fallback planner's miss shows in the aggregate snapshot only: the
+  // planner's own LRU serves monolithic rounds.
+  EXPECT_EQ(planner.stats().misses, 0u);
+  EXPECT_EQ(planner.stats_snapshot().misses, 1u);
 }
 
 TEST(Planner, StatsSnapshotIsPureAndResetKeepsCacheResident) {

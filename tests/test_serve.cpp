@@ -24,6 +24,7 @@
 #include "core/snapshot.h"
 #include "serve/plan_service.h"
 #include "serve/wire.h"
+#include "sweep/controller_fleet.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -282,6 +283,43 @@ TEST(ServeGuard, VerdictsFlowIntoPlansAndCounters) {
   EXPECT_EQ(c.uncacheable_plans, 1u);
   EXPECT_EQ(c.cache_misses, 1u);
   EXPECT_EQ(c.cache_hits, 0u);
+}
+
+/// Guarded fleet replay and guarded serve tenants run one stateless
+/// guarded round (plan_guarded): clean, repaired and rejected snapshots
+/// give the same plans on both, and serve reports each one's verdict.
+TEST(ServeGuard, MatchesGuardedReplay) {
+  const std::vector<MeasurementSnapshot> trace = {
+      chain_snapshot(), repairable_snapshot(), rejected_snapshot()};
+  const SnapshotVerdict verdicts[] = {SnapshotVerdict::kClean,
+                                      SnapshotVerdict::kRepaired,
+                                      SnapshotVerdict::kRejected};
+  for (const PlanTier tier : {PlanTier::kExact, PlanTier::kFast}) {
+    const TenantConfig cfg = chain_tenant(tier, /*guarded=*/true);
+    ReplayCell cell;
+    cell.flows = cfg.flows;
+    cell.plan = cfg.plan;
+    cell.interference = cfg.interference;
+    cell.guarded = true;
+    cell.guard = cfg.guard;
+    ControllerFleet fleet(1);
+    ReplayOptions opts;
+    opts.planner_cache = cfg.planner_cache;
+    const std::vector<ReplayResult> replayed =
+        fleet.replay({cell}, trace, opts);
+
+    PlanService svc;
+    const std::uint32_t t = svc.add_tenant(cfg);
+    for (std::size_t r = 0; r < trace.size(); ++r) {
+      const auto tick = static_cast<long long>(r);
+      svc.submit(t, trace[r], tick);
+      const ServeBatchReport batch = svc.run_batch(tick);
+      ASSERT_EQ(batch.served.size(), 1u);
+      EXPECT_EQ(batch.served[0].verdict, verdicts[r]) << "round " << r;
+      EXPECT_EQ(batch.served[0].plan, replayed[0].plans[r]) << "round " << r;
+      EXPECT_EQ(batch.served[0].plan.ok, r < 2) << "round " << r;
+    }
+  }
 }
 
 /// Constant-topology rounds after the first hit the tenant's planner
