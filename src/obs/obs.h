@@ -16,6 +16,8 @@
 // write into job/session-local recorders that the orchestrator absorbs on
 // the calling thread in deterministic (job-index / batch) order — no locks,
 // no thread registration, and shard assignment cannot leak into the trace.
+// Decomposed component jobs re-emit their job-local records instead, so
+// they take the parent's intra-round sequence numbers.
 //
 // Everything is off-by-default: components hold a borrowed TraceRecorder*
 // that is null unless attached, and every hook is a single branch when

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -27,8 +29,9 @@ constexpr std::size_t kFallbackCache = 8;
 /// pool jobs touch disjoint memory and the round is bit-identical across
 /// thread counts.
 struct CompWork {
-  MeasurementSnapshot sub;            ///< restricted snapshot
+  int comp = 0;                       ///< component id
   std::vector<std::size_t> flow_ids;  ///< global flow indices, ascending
+  MeasurementSnapshot sub;            ///< restricted snapshot (phase A)
 
   // Fast tier.
   ColumnGenInput cg_in;
@@ -49,11 +52,16 @@ struct CompWork {
   std::uint64_t pivots_before = 0;  ///< exact tier: the component
                                     ///< solver's pivots at round start
 
+  /// The job's own recorder when the planner is observed: the slot
+  /// planner and column-generation optimizer write here, and the caller
+  /// re-emits its records in component order after the phase barrier.
+  std::optional<TraceRecorder> obs;
   // Wall-clock enrichment of the component's phase-A job (0 unless the
   // attached recorder enables wall_clock). Written by the job, read by the
   // caller after the phase barrier — disjoint, pool-safe.
   std::uint64_t obs_t0 = 0;
   std::uint64_t obs_dur = 0;
+  std::exception_ptr error;  ///< what the phase-A job threw, if anything
 };
 
 bool concave_objective(Objective o) {
@@ -173,8 +181,7 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
       if (flow_comp[s] == c) ids.push_back(s);
     if (ids.empty()) continue;
     CompWork w;
-    w.sub = snap.restrict_to(
-        partition_.members[static_cast<std::size_t>(c)]);
+    w.comp = c;
     w.flow_ids = std::move(ids);
     works.push_back(std::move(w));
   }
@@ -199,9 +206,10 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
   // objectives compute their max-min starting point and prepare the
   // linear-oracle state for the joint Frank-Wolfe below.
   auto run_component = [&](CompWork& w) {
-    const int comp = flow_comp[w.flow_ids.front()];
-    Slot& slot = *slots_[static_cast<std::size_t>(comp)];
+    Slot& slot = *slots_[static_cast<std::size_t>(w.comp)];
     if (obs_ != nullptr) w.obs_t0 = obs_->now_ns();
+    slot.planner.set_observer(w.obs ? &*w.obs : nullptr);
+    w.sub = snap.restrict_to(slot.members);
     const InterferenceModel& m =
         slot.planner.model(w.sub, kind, mis_cap, cacheable);
 
@@ -260,30 +268,58 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
     }
   };
 
-  // Slot planners share the single-owner recorder only when phase A runs
-  // on the calling thread; pool jobs keep their slot-level detail silent
-  // (the caller-side kComponentSolve spans below survive either way).
-  const bool pooled = pool_ != nullptr && works.size() > 1;
+  // A pool-less planner borrows the process-wide pool, unless the round has
+  // one active component, this thread is already a pool job (serve
+  // batches, fleet cells) or another thread holds that pool; then phase A
+  // runs here, component by component. Each job writes only its own
+  // CompWork and slot, and every job runs even when one throws, so every
+  // path leaves the same bits and the same planner state.
+  if (obs_ != nullptr) {
+    // The job recorder's ring is unbounded: the parent's ring policy
+    // applies when its records are re-emitted below.
+    ObsConfig local = obs_->config();
+    local.ring_capacity = std::numeric_limits<std::size_t>::max();
+    for (CompWork& w : works) {
+      w.obs.emplace(local);
+      w.obs->set_context(obs_->lane(), obs_->round());
+    }
+  }
+  const auto job = [&](const SweepJob& j) {
+    CompWork& w = works[static_cast<std::size_t>(j.index)];
+    try {
+      run_component(w);
+    } catch (...) {
+      w.error = std::current_exception();
+    }
+    // The job recorder dies with the round.
+    slots_[static_cast<std::size_t>(w.comp)]->planner.set_observer(nullptr);
+    if (w.warm != nullptr) w.warm->set_observer(nullptr);
+  };
+  const int jobs = static_cast<int>(works.size());
+  if (pool_ != nullptr) {
+    pool_->run_raw(jobs, /*master_seed=*/0, job);
+  } else if (jobs < 2 || SweepRunner::in_job() ||
+             !SweepRunner::shared().try_run_raw(jobs, /*master_seed=*/0, job)) {
+    for (int i = 0; i < jobs; ++i) job(SweepJob{i, 0});
+  }
+
+  // Re-emit each component's records in component order, then the
+  // kComponentSolve spans: the emission order (and so every seq number) of
+  // a serial round whose slot planners wrote into obs_ directly. The
+  // first throwing component (in component order) ends the round: its
+  // records and those of the components before it are kept.
   for (const CompWork& w : works) {
-    const int comp = flow_comp[w.flow_ids.front()];
-    slots_[static_cast<std::size_t>(comp)]->planner.set_observer(
-        pooled ? nullptr : obs_);
+    if (w.obs) {
+      for (const ObsRecord& r : w.obs->canonical_records())
+        obs_->emit(r.stage, r.kind, r.code, r.a, r.b, r.wall_ns,
+                   r.wall_dur_ns);
+    }
+    if (w.error) std::rethrow_exception(w.error);
   }
-
-  if (pooled) {
-    pool_->run_raw(static_cast<int>(works.size()), /*master_seed=*/0,
-                   [&](const SweepJob& job) {
-                     run_component(works[static_cast<std::size_t>(job.index)]);
-                   });
-  } else {
-    for (CompWork& w : works) run_component(w);
-  }
-
   if (obs_ != nullptr) {
     for (const CompWork& w : works) {
-      const int comp = flow_comp[w.flow_ids.front()];
       obs_->emit(ObsStage::kComponent, ObsKind::kSpan,
-                 ObsCode::kComponentSolve, static_cast<std::uint64_t>(comp),
+                 ObsCode::kComponentSolve, static_cast<std::uint64_t>(w.comp),
                  (static_cast<std::uint64_t>(w.sub.links.size()) << 32) |
                      static_cast<std::uint64_t>(w.flow_ids.size()),
                  w.obs_t0, w.obs_dur);
@@ -365,9 +401,7 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
       stats_.columns_admitted += now.columns_admitted - was.columns_admitted;
     } else {
       plan.extreme_points += w.exact_in.extreme_points.rows();
-      stats_.pivots += slots_[static_cast<std::size_t>(
-                                  flow_comp[w.flow_ids.front()])]
-                           ->lp.pivots() -
+      stats_.pivots += slots_[static_cast<std::size_t>(w.comp)]->lp.pivots() -
                        w.pivots_before;
     }
   }

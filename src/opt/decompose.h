@@ -57,12 +57,17 @@
 // Wiring: Planner::plan routes PlanConfig::decompose rounds to a
 // DecomposedPlanner it owns, so fleet replay, PlanService and every other
 // Planner user select the tier per PlanConfig. City studies and the
-// replay_city benchmark construct one directly, optionally with a pool.
+// replay_city benchmark construct one directly. Every one of these is
+// built without a pool: its per-component phase jobs then run on
+// SweepRunner::shared() when the round has two or more active components,
+// the calling thread is not itself running a SweepRunner job (serve
+// batches and fleet cells plan serially), and no other thread is using
+// the shared pool; otherwise they run serially on the calling thread.
 //
-// Thread-safety: single-owner, like Planner. The optional SweepRunner is
-// used for per-component phase jobs; pass nullptr when plan() itself runs
-// inside a pool job (SweepRunner is not re-entrant) — the Planner-owned
-// instance is always built that way.
+// Thread-safety: single-owner, like Planner. Distinct planners may plan
+// concurrently: at most one of them holds the shared pool at a time, and
+// the others run their phase jobs on their own threads. Pooled, shared or
+// serial, a round gives the same plan bits and the same trace records.
 
 #include <cstddef>
 #include <cstdint>
@@ -107,8 +112,9 @@ struct DecomposeStats {
 class DecomposedPlanner {
  public:
   /// `pool`, when non-null, runs per-component model/solve phases as pool
-  /// jobs (NOT owned; must outlive the planner). Pass nullptr from inside
-  /// pool jobs — SweepRunner is not re-entrant.
+  /// jobs (NOT owned; must outlive the planner); a call from inside a pool
+  /// job runs them inline. With nullptr the planner borrows
+  /// SweepRunner::shared() when it is free (see the file comment).
   explicit DecomposedPlanner(SweepRunner* pool = nullptr);
 
   /// Plan one round, decomposing when the interference graph separates
@@ -149,10 +155,10 @@ class DecomposedPlanner {
   /// cross-component) and plan through the observed monolithic planner;
   /// decomposed rounds emit one kComponentSolve span per active component
   /// (a = component id, b = (links << 32) | flows) in component order on
-  /// the calling thread. Component-slot planners (cache/model/pricing
-  /// records) are observed only when phase A runs serially — pool jobs
-  /// must not share the single-owner recorder, so a pooled round keeps
-  /// the per-component solve spans but drops the slot-level detail.
+  /// the calling thread. Each component's slot planner (cache/model/
+  /// pricing records) writes into a recorder of its own job; the planner
+  /// re-emits those records in component order ahead of the spans, so a
+  /// pooled round's trace equals the serial one, seq numbers included.
   void set_observer(TraceRecorder* obs) {
     obs_ = obs;
     fallback_.set_observer(obs);

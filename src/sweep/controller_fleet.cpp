@@ -227,10 +227,11 @@ std::vector<ReplayResult> ControllerFleet::replay(
             local != nullptr ? local->now_ns() : 0;
         try {
           // The job plans every round through one Planner; decomposed
-          // cells get its pool-less DecomposedPlanner, since this job IS
-          // a pool job and SweepRunner is not re-entrant. When observed,
-          // the recorder's ambient context tracks (lane = cell, round) so
-          // the planner's records land on the round they belong to.
+          // cells get its pool-less DecomposedPlanner, which plans its
+          // components serially here because this job IS a pool job
+          // (SweepRunner::in_job()). When observed, the recorder's
+          // ambient context tracks (lane = cell, round) so the planner's
+          // records land on the round they belong to.
           Planner planner(opts.planner_cache);
           planner.set_observer(local);
           for (int r = sj.lo; r < sj.hi; ++r) {

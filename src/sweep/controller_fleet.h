@@ -168,8 +168,8 @@ struct ReplayOptions {
 
 /// Runs fleets of independent controller loops on a SweepRunner pool.
 ///
-/// Thread-safety: same contract as SweepRunner — one run() at a time per
-/// fleet instance; the instance may be reused across sequential runs.
+/// Thread-safety: single-owner — one run() at a time per fleet instance;
+/// the instance may be reused across sequential runs.
 class ControllerFleet {
  public:
   /// `threads` <= 0 selects the hardware concurrency (at least 1).

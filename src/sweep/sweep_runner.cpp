@@ -4,6 +4,51 @@
 
 namespace meshopt {
 
+namespace {
+
+/// Set while this thread executes a SweepRunner job; see in_job().
+thread_local bool t_in_job = false;
+
+/// Marks the calling thread as inside a job for one scope (nesting-safe).
+class JobScope {
+ public:
+  JobScope() : outer_(t_in_job) { t_in_job = true; }
+  ~JobScope() { t_in_job = outer_; }
+  JobScope(const JobScope&) = delete;
+  JobScope& operator=(const JobScope&) = delete;
+
+ private:
+  bool outer_;
+};
+
+/// Runs every job on the calling thread in index order; rethrows the
+/// first job's exception after the rest ran, as a pooled run does.
+void run_inline(int count, std::uint64_t master_seed,
+                const std::function<void(const SweepJob&)>& fn) {
+  std::exception_ptr error;
+  for (int i = 0; i < count; ++i) {
+    SweepJob job;
+    job.index = i;
+    job.seed = SweepRunner::job_seed(master_seed, i);
+    try {
+      const JobScope scope;
+      fn(job);
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+}  // namespace
+
+SweepRunner& SweepRunner::shared() {
+  static SweepRunner pool(0);
+  return pool;
+}
+
+bool SweepRunner::in_job() { return t_in_job; }
+
 SweepRunner::SweepRunner(int threads) : threads_(threads) {
   if (threads_ <= 0) {
     threads_ = static_cast<int>(std::thread::hardware_concurrency());
@@ -29,6 +74,7 @@ void SweepRunner::execute(int index) {
   job.index = index;
   job.seed = job_seed(master_seed_, index);
   try {
+    const JobScope scope;
     (*fn_)(job);
   } catch (...) {
     const std::lock_guard<std::mutex> lock(error_mu_);
@@ -94,25 +140,31 @@ void SweepRunner::worker_loop(int self) {
 void SweepRunner::run_raw(int count, std::uint64_t master_seed,
                           const std::function<void(const SweepJob&)>& fn) {
   if (count <= 0) return;
-
-  if (threads_ == 1 || count == 1) {
-    // Degenerate case: run inline on the calling thread (identical
-    // semantics, useful under debuggers and for count == 1 sweeps).
-    std::exception_ptr error;
-    for (int i = 0; i < count; ++i) {
-      SweepJob job;
-      job.index = i;
-      job.seed = job_seed(master_seed, i);
-      try {
-        fn(job);
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
+  // Degenerate and nested runs execute inline on the calling thread
+  // (identical semantics; a job never waits on a pool it may belong to).
+  if (threads_ == 1 || count == 1 || in_job()) {
+    run_inline(count, master_seed, fn);
     return;
   }
+  const std::lock_guard<std::mutex> run_lock(run_mu_);
+  run_pooled(count, master_seed, fn);
+}
 
+bool SweepRunner::try_run_raw(int count, std::uint64_t master_seed,
+                              const std::function<void(const SweepJob&)>& fn) {
+  if (count <= 0) return true;
+  if (threads_ == 1 || count == 1 || in_job()) {
+    run_inline(count, master_seed, fn);
+    return true;
+  }
+  const std::unique_lock<std::mutex> run_lock(run_mu_, std::try_to_lock);
+  if (!run_lock.owns_lock()) return false;
+  run_pooled(count, master_seed, fn);
+  return true;
+}
+
+void SweepRunner::run_pooled(int count, std::uint64_t master_seed,
+                             const std::function<void(const SweepJob&)>& fn) {
   // Partition job indices into per-worker blocks, each filled in reverse
   // so the owner's LIFO pop walks its block in ascending order (thieves
   // steal from the block's high end).

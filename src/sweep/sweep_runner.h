@@ -43,9 +43,12 @@ struct SweepJob {
 
 /// Deterministic parallel job runner with a persistent worker pool.
 ///
-/// Thread-safety: a SweepRunner may be shared across sequential runs but
-/// not concurrent ones — run()/run_raw() must not be called from two
-/// threads at once (nor re-entrantly from inside a job).
+/// Thread-safety: run()/run_raw() may be called from several threads at
+/// once; concurrent runs on one pool take turns (try_run_raw() declines
+/// instead of waiting). Re-entrancy is defined: a run started from inside
+/// ANY SweepRunner's job (in_job() is true on that thread) executes its
+/// jobs inline on the calling thread, in index order, with the same seeds
+/// and result slots — so it yields the same results as a pooled run.
 class SweepRunner {
  public:
   /// `threads` <= 0 selects the hardware concurrency (at least 1). The
@@ -85,6 +88,22 @@ class SweepRunner {
   void run_raw(int count, std::uint64_t master_seed,
                const std::function<void(const SweepJob&)>& fn);
 
+  /// run_raw(), unless another thread is running this pool right now: then
+  /// nothing runs and the result is false (the caller runs the jobs itself
+  /// instead of queueing behind the other run).
+  [[nodiscard]] bool try_run_raw(
+      int count, std::uint64_t master_seed,
+      const std::function<void(const SweepJob&)>& fn);
+
+  /// One process-wide pool sized by the hardware concurrency, like
+  /// SweepRunner(0). Created on first use, so a process that never asks
+  /// for it never starts its threads.
+  [[nodiscard]] static SweepRunner& shared();
+
+  /// True while the calling thread is executing a job of any SweepRunner
+  /// (including the inline single-thread and single-job paths).
+  [[nodiscard]] static bool in_job();
+
   /// The seed job `index` of a sweep over `master_seed` receives.
   [[nodiscard]] static std::uint64_t job_seed(std::uint64_t master_seed,
                                               int index) {
@@ -98,11 +117,15 @@ class SweepRunner {
   /// anywhere (idle workers park instead of spinning on stragglers).
   void drain(int self);
   void execute(int index);
+  /// The pooled path of a run; the caller holds run_mu_.
+  void run_pooled(int count, std::uint64_t master_seed,
+                  const std::function<void(const SweepJob&)>& fn);
 
   int threads_;
   std::vector<WorkStealQueue> queues_;  ///< one per worker, index-aligned
   std::vector<std::thread> pool_;       ///< threads_ - 1 background workers
 
+  std::mutex run_mu_;  ///< held for a whole pooled run: one run at a time
   std::mutex mu_;                   ///< guards epoch/fn handoff + finish count
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "core/planner.h"
@@ -131,14 +134,19 @@ TEST(Decompose, BitIdenticalAcrossPoolThreadCountsAndRuns) {
   const PlanConfig cfg =
       plan_config(Objective::kProportionalFair, PlanTier::kFast);
 
-  // Three rounds with drifting capacities, planned by two independent
-  // planners whose pools differ only in thread count. Every plan must be
-  // bit-identical (operator== covers y, x, shapers, and all metadata).
+  // Three rounds with drifting capacities, planned by independent
+  // planners whose pools differ only in thread count, plus two pool-less
+  // planners: one called from this thread (it borrows the process-wide
+  // pool) and one called from inside a pool job (it runs its components
+  // serially). Every plan must be bit-identical (operator== covers y, x,
+  // shapers, and all metadata).
   SweepRunner pool1(1);
   SweepRunner pool4(4);
+  SweepRunner outer(4);
   DecomposedPlanner a(&pool1);
   DecomposedPlanner b(&pool4);
   DecomposedPlanner serial;  // no pool at all
+  DecomposedPlanner nested;  // no pool, called from an outer pool job
   for (int r = 0; r < 3; ++r) {
     MeasurementSnapshot snap = build_city_snapshot(p);
     for (SnapshotLink& l : snap.links)
@@ -149,13 +157,73 @@ TEST(Decompose, BitIdenticalAcrossPoolThreadCountsAndRuns) {
                                cfg);
     const RatePlan ps = serial.plan(snap, InterferenceModelKind::kLirTable,
                                     flows, cfg);
+    RatePlan pn;
+    bool pn_in_job = false;
+    outer.run_raw(2, /*master_seed=*/0, [&](const SweepJob& job) {
+      if (job.index != 0) return;
+      pn_in_job = SweepRunner::in_job();
+      pn = nested.plan(snap, InterferenceModelKind::kLirTable, flows, cfg);
+    });
     ASSERT_TRUE(pa.ok);
+    EXPECT_TRUE(pn_in_job);
     EXPECT_EQ(pa, pb) << "round " << r;
     EXPECT_EQ(pa, ps) << "round " << r;
+    EXPECT_EQ(pa, pn) << "round " << r;
   }
   EXPECT_EQ(a.stats().decomposed_rounds, 3u);
   EXPECT_EQ(a.stats().partition_rebuilds, 1u);
   EXPECT_EQ(a.stats().components_planned, 9u);  // 3 active comps x 3 rounds
+}
+
+TEST(Decompose, ConcurrentPoolLessPlannersMatchSingleThreaded) {
+  // Two threads plan the medium city at the same time, each through its
+  // own pool-less planner: whichever holds the process-wide pool runs its
+  // components there, the other runs them on its own thread. Both must
+  // equal a single-threaded planner round for round.
+  const CityParams p = medium_city();
+  const std::vector<FlowSpec> flows = city_flows(p);
+  const PlanConfig cfg =
+      plan_config(Objective::kProportionalFair, PlanTier::kFast);
+  constexpr int kRounds = 6;
+  std::vector<MeasurementSnapshot> rounds;
+  for (int r = 0; r < kRounds; ++r) {
+    MeasurementSnapshot snap = build_city_snapshot(p);
+    for (SnapshotLink& l : snap.links)
+      l.estimate.capacity_bps *= 1.0 + 0.01 * r;
+    rounds.push_back(std::move(snap));
+  }
+
+  SweepRunner pool1(1);
+  DecomposedPlanner reference_planner(&pool1);
+  std::vector<RatePlan> reference;
+  for (const MeasurementSnapshot& snap : rounds)
+    reference.push_back(reference_planner.plan(
+        snap, InterferenceModelKind::kLirTable, flows, cfg));
+
+  std::atomic<int> ready{0};
+  const auto plan_all = [&](std::vector<RatePlan>& out) {
+    DecomposedPlanner planner;
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (const MeasurementSnapshot& snap : rounds)
+      out.push_back(
+          planner.plan(snap, InterferenceModelKind::kLirTable, flows, cfg));
+  };
+  std::vector<RatePlan> first;
+  std::vector<RatePlan> second;
+  std::thread t1(plan_all, std::ref(first));
+  std::thread t2(plan_all, std::ref(second));
+  t1.join();
+  t2.join();
+
+  ASSERT_EQ(first.size(), reference.size());
+  ASSERT_EQ(second.size(), reference.size());
+  for (int r = 0; r < kRounds; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    ASSERT_TRUE(reference[i].ok) << "round " << r;
+    EXPECT_EQ(first[i], reference[i]) << "round " << r;
+    EXPECT_EQ(second[i], reference[i]) << "round " << r;
+  }
 }
 
 TEST(Decompose, ComponentCachesStayHotUnderLocalChurn) {

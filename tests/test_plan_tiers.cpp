@@ -725,12 +725,12 @@ TEST(PlanTiers, DecomposedFastTierAdmitsColumnsOnNonCliqueComponent) {
   }
 }
 
-TEST(PlanTiers, DecomposedFastTierTraceBitsPinned) {
-  // The deterministic fields of every record one observed decomposed
-  // fast-tier PF round emits: cache and model records of each component
-  // planner and one kComponentSolve span per active component.
+/// The deterministic fields of every record one observed decomposed
+/// fast-tier PF round on the small city emits through `planner`: cache and
+/// model records of each component planner and one kComponentSolve span
+/// per active component.
+void expect_decomposed_trace_bits(DecomposedPlanner& planner) {
   const CityParams p = small_city();
-  DecomposedPlanner planner;
   TraceRecorder recorder;
   planner.set_observer(&recorder);
   recorder.set_context(0, 0);
@@ -755,6 +755,20 @@ TEST(PlanTiers, DecomposedFastTierTraceBitsPinned) {
   }
   EXPECT_EQ(records.size(), 9u);
   EXPECT_EQ(d.h, 0x6a6be97f9e966874ull) << "0x" << std::hex << d.h;
+}
+
+TEST(PlanTiers, DecomposedFastTierTraceBitsPinned) {
+  DecomposedPlanner planner;
+  expect_decomposed_trace_bits(planner);
+}
+
+TEST(PlanTiers, DecomposedPooledTraceEqualsSerialTrace) {
+  // Component jobs on four threads write job-local recorders that the
+  // planner re-emits in component order: the same records, seq numbers
+  // included, as a round whose components ran one after another.
+  SweepRunner pool4(4);
+  DecomposedPlanner planner(&pool4);
+  expect_decomposed_trace_bits(planner);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "scenario/testbed.h"
@@ -95,6 +96,9 @@ TEST(SweepRunner, ExceptionsPropagate) {
 TEST(SweepRunner, ThreadCountDefaultsSane) {
   EXPECT_GE(SweepRunner(0).threads(), 1);
   EXPECT_EQ(SweepRunner(5).threads(), 5);
+  // The process-wide pool: one instance, sized like SweepRunner(0).
+  EXPECT_EQ(&SweepRunner::shared(), &SweepRunner::shared());
+  EXPECT_EQ(SweepRunner::shared().threads(), SweepRunner(0).threads());
 }
 
 // A job whose cost varies by orders of magnitude across indices: workers
@@ -149,6 +153,101 @@ TEST(SweepRunner, ExceptionDoesNotPoisonThePool) {
   // The same pool must still run clean sweeps afterwards.
   const auto out = r.run(32, 0, [](const SweepJob& job) { return job.index; });
   for (int i = 0; i < 32; ++i) EXPECT_EQ(out[std::size_t(i)], i);
+}
+
+TEST(SweepRunner, NestedRunRawRunsInlineAndMatchesFlat) {
+  // Every job of a 4-thread run starts a nested run_raw of its own on the
+  // same pool. The nested jobs run inline on the job's thread, so the pool
+  // never waits on itself, and the results equal one flat run.
+  constexpr int kOuter = 8;
+  constexpr int kInner = 12;
+  const auto flat = SweepRunner(1).run(kOuter * kInner, 77, uneven_cell);
+
+  SweepRunner r(4);
+  EXPECT_FALSE(SweepRunner::in_job());
+  std::vector<std::uint64_t> nested(flat.size());
+  std::vector<int> inner_on_outer_thread(kOuter, 0);
+  std::vector<int> outer_in_job(kOuter, 0);
+  r.run_raw(kOuter, 0, [&](const SweepJob& outer) {
+    const auto o = static_cast<std::size_t>(outer.index);
+    outer_in_job[o] = SweepRunner::in_job() ? 1 : 0;
+    const std::thread::id self = std::this_thread::get_id();
+    int same_thread = 0;
+    r.run_raw(kInner, 0, [&](const SweepJob& inner) {
+      // The flat run's job index and seed for this (outer, inner) pair.
+      SweepJob job;
+      job.index = outer.index * kInner + inner.index;
+      job.seed = SweepRunner::job_seed(77, job.index);
+      nested[static_cast<std::size_t>(job.index)] = uneven_cell(job);
+      if (std::this_thread::get_id() == self && SweepRunner::in_job())
+        ++same_thread;
+    });
+    inner_on_outer_thread[o] = same_thread;
+  });
+  EXPECT_FALSE(SweepRunner::in_job());
+  EXPECT_EQ(nested, flat);
+  for (int o = 0; o < kOuter; ++o) {
+    EXPECT_EQ(outer_in_job[static_cast<std::size_t>(o)], 1) << o;
+    EXPECT_EQ(inner_on_outer_thread[static_cast<std::size_t>(o)], kInner) << o;
+  }
+}
+
+TEST(SweepRunner, InlinePathMarksJobs) {
+  // The single-thread and single-job paths run on the caller but still
+  // count as jobs.
+  SweepRunner one(1);
+  SweepRunner four(4);
+  bool a = false;
+  bool b = false;
+  one.run_raw(1, 0, [&](const SweepJob&) { a = SweepRunner::in_job(); });
+  four.run_raw(1, 0, [&](const SweepJob&) { b = SweepRunner::in_job(); });
+  EXPECT_TRUE(a);
+  EXPECT_TRUE(b);
+  EXPECT_FALSE(SweepRunner::in_job());
+}
+
+TEST(SweepRunner, TryRunRawDeclinesWhileAnotherThreadRuns) {
+  SweepRunner r(4);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread owner([&] {
+    r.run_raw(4, 0, [&](const SweepJob& job) {
+      if (job.index != 0) return;
+      holding.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+  int ran = 0;
+  EXPECT_FALSE(r.try_run_raw(4, 0, [&](const SweepJob&) { ++ran; }));
+  EXPECT_EQ(ran, 0);
+  release.store(true);
+  owner.join();
+
+  std::vector<std::atomic<int>> hits(4);
+  EXPECT_TRUE(r.try_run_raw(4, 0, [&](const SweepJob& job) {
+    hits[static_cast<std::size_t>(job.index)].fetch_add(1);
+  }));
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(SweepRunner, ConcurrentCallersTakeTurns) {
+  // Two threads run sweeps on one pool at once; each gets exactly its
+  // serial results.
+  SweepRunner r(4);
+  const auto expected = SweepRunner(1).run(40, 5, uneven_cell);
+  std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> b;
+  std::thread ta([&] {
+    for (int i = 0; i < 10; ++i) a = r.run(40, 5, uneven_cell);
+  });
+  std::thread tb([&] {
+    for (int i = 0; i < 10; ++i) b = r.run(40, 5, uneven_cell);
+  });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, expected);
+  EXPECT_EQ(b, expected);
 }
 
 }  // namespace
