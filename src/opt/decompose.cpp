@@ -268,10 +268,10 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
     }
   };
 
-  // A pool-less planner borrows the process-wide pool, unless the round has
-  // one active component, this thread is already a pool job (serve
-  // batches, fleet cells) or another thread holds that pool; then phase A
-  // runs here, component by component. Each job writes only its own
+  // A pool-less planner borrows the process-wide pool (waiting its turn if
+  // another thread is running it), unless the round has one active
+  // component or this thread is already a pool job (serve batches, fleet
+  // cells); then phase A runs here, component by component. Each job writes only its own
   // CompWork and slot, and every job runs even when one throws, so every
   // path leaves the same bits and the same planner state.
   if (obs_ != nullptr) {
@@ -298,8 +298,9 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
   const int jobs = static_cast<int>(works.size());
   if (pool_ != nullptr) {
     pool_->run_raw(jobs, /*master_seed=*/0, job);
-  } else if (jobs < 2 || SweepRunner::in_job() ||
-             !SweepRunner::shared().try_run_raw(jobs, /*master_seed=*/0, job)) {
+  } else if (jobs >= 2 && !SweepRunner::in_job()) {
+    SweepRunner::shared().run_raw(jobs, /*master_seed=*/0, job);
+  } else {
     for (int i = 0; i < jobs; ++i) job(SweepJob{i, 0});
   }
 

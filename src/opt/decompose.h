@@ -59,15 +59,15 @@
 // Planner user select the tier per PlanConfig. City studies and the
 // replay_city benchmark construct one directly. Every one of these is
 // built without a pool: its per-component phase jobs then run on
-// SweepRunner::shared() when the round has two or more active components,
-// the calling thread is not itself running a SweepRunner job (serve
-// batches and fleet cells plan serially), and no other thread is using
-// the shared pool; otherwise they run serially on the calling thread.
+// SweepRunner::shared() when the round has two or more active components
+// and the calling thread is not itself running a SweepRunner job (serve
+// batches and fleet cells plan serially); otherwise they run serially on
+// the calling thread.
 //
 // Thread-safety: single-owner, like Planner. Distinct planners may plan
-// concurrently: at most one of them holds the shared pool at a time, and
-// the others run their phase jobs on their own threads. Pooled, shared or
-// serial, a round gives the same plan bits and the same trace records.
+// concurrently: their phase-A runs take turns on the shared pool. Pooled,
+// shared or serial, a round gives the same plan bits and the same trace
+// records.
 
 #include <cstddef>
 #include <cstdint>
@@ -114,7 +114,7 @@ class DecomposedPlanner {
   /// `pool`, when non-null, runs per-component model/solve phases as pool
   /// jobs (NOT owned; must outlive the planner); a call from inside a pool
   /// job runs them inline. With nullptr the planner borrows
-  /// SweepRunner::shared() when it is free (see the file comment).
+  /// SweepRunner::shared() (see the file comment).
   explicit DecomposedPlanner(SweepRunner* pool = nullptr);
 
   /// Plan one round, decomposing when the interference graph separates

@@ -146,25 +146,9 @@ void SweepRunner::run_raw(int count, std::uint64_t master_seed,
     run_inline(count, master_seed, fn);
     return;
   }
+  // Concurrent callers take turns: one pooled run at a time.
   const std::lock_guard<std::mutex> run_lock(run_mu_);
-  run_pooled(count, master_seed, fn);
-}
 
-bool SweepRunner::try_run_raw(int count, std::uint64_t master_seed,
-                              const std::function<void(const SweepJob&)>& fn) {
-  if (count <= 0) return true;
-  if (threads_ == 1 || count == 1 || in_job()) {
-    run_inline(count, master_seed, fn);
-    return true;
-  }
-  const std::unique_lock<std::mutex> run_lock(run_mu_, std::try_to_lock);
-  if (!run_lock.owns_lock()) return false;
-  run_pooled(count, master_seed, fn);
-  return true;
-}
-
-void SweepRunner::run_pooled(int count, std::uint64_t master_seed,
-                             const std::function<void(const SweepJob&)>& fn) {
   // Partition job indices into per-worker blocks, each filled in reverse
   // so the owner's LIFO pop walks its block in ascending order (thieves
   // steal from the block's high end).

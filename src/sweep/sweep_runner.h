@@ -44,11 +44,11 @@ struct SweepJob {
 /// Deterministic parallel job runner with a persistent worker pool.
 ///
 /// Thread-safety: run()/run_raw() may be called from several threads at
-/// once; concurrent runs on one pool take turns (try_run_raw() declines
-/// instead of waiting). Re-entrancy is defined: a run started from inside
-/// ANY SweepRunner's job (in_job() is true on that thread) executes its
-/// jobs inline on the calling thread, in index order, with the same seeds
-/// and result slots — so it yields the same results as a pooled run.
+/// once; concurrent runs on one pool take turns. Re-entrancy is defined:
+/// a run started from inside ANY SweepRunner's job (in_job() is true on
+/// that thread) executes its jobs inline on the calling thread, in index
+/// order, with the same seeds and result slots — so it yields the same
+/// results as a pooled run.
 class SweepRunner {
  public:
   /// `threads` <= 0 selects the hardware concurrency (at least 1). The
@@ -88,13 +88,6 @@ class SweepRunner {
   void run_raw(int count, std::uint64_t master_seed,
                const std::function<void(const SweepJob&)>& fn);
 
-  /// run_raw(), unless another thread is running this pool right now: then
-  /// nothing runs and the result is false (the caller runs the jobs itself
-  /// instead of queueing behind the other run).
-  [[nodiscard]] bool try_run_raw(
-      int count, std::uint64_t master_seed,
-      const std::function<void(const SweepJob&)>& fn);
-
   /// One process-wide pool sized by the hardware concurrency, like
   /// SweepRunner(0). Created on first use, so a process that never asks
   /// for it never starts its threads.
@@ -117,9 +110,6 @@ class SweepRunner {
   /// anywhere (idle workers park instead of spinning on stragglers).
   void drain(int self);
   void execute(int index);
-  /// The pooled path of a run; the caller holds run_mu_.
-  void run_pooled(int count, std::uint64_t master_seed,
-                  const std::function<void(const SweepJob&)>& fn);
 
   int threads_;
   std::vector<WorkStealQueue> queues_;  ///< one per worker, index-aligned

@@ -177,9 +177,9 @@ TEST(Decompose, BitIdenticalAcrossPoolThreadCountsAndRuns) {
 
 TEST(Decompose, ConcurrentPoolLessPlannersMatchSingleThreaded) {
   // Two threads plan the medium city at the same time, each through its
-  // own pool-less planner: whichever holds the process-wide pool runs its
-  // components there, the other runs them on its own thread. Both must
-  // equal a single-threaded planner round for round.
+  // own pool-less planner: their component phases take turns on the
+  // process-wide pool. Both must equal a single-threaded planner round for
+  // round.
   const CityParams p = medium_city();
   const std::vector<FlowSpec> flows = city_flows(p);
   const PlanConfig cfg =

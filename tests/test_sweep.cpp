@@ -206,31 +206,6 @@ TEST(SweepRunner, InlinePathMarksJobs) {
   EXPECT_FALSE(SweepRunner::in_job());
 }
 
-TEST(SweepRunner, TryRunRawDeclinesWhileAnotherThreadRuns) {
-  SweepRunner r(4);
-  std::atomic<bool> holding{false};
-  std::atomic<bool> release{false};
-  std::thread owner([&] {
-    r.run_raw(4, 0, [&](const SweepJob& job) {
-      if (job.index != 0) return;
-      holding.store(true);
-      while (!release.load()) std::this_thread::yield();
-    });
-  });
-  while (!holding.load()) std::this_thread::yield();
-  int ran = 0;
-  EXPECT_FALSE(r.try_run_raw(4, 0, [&](const SweepJob&) { ++ran; }));
-  EXPECT_EQ(ran, 0);
-  release.store(true);
-  owner.join();
-
-  std::vector<std::atomic<int>> hits(4);
-  EXPECT_TRUE(r.try_run_raw(4, 0, [&](const SweepJob& job) {
-    hits[static_cast<std::size_t>(job.index)].fetch_add(1);
-  }));
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(SweepRunner, ConcurrentCallersTakeTurns) {
   // Two threads run sweeps on one pool at once; each gets exactly its
   // serial results.
