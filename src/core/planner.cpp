@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "obs/obs.h"
 #include "opt/decompose.h"
@@ -23,9 +24,17 @@ bool Planner::matches(const Entry& e, const MeasurementSnapshot& snap,
         e.links[i].rate != l.rate)
       return false;
   }
-  return e.neighbors == snap.neighbors && e.lir == snap.lir &&
-         e.lir_threshold_bits ==
-             std::bit_cast<std::uint64_t>(snap.lir_threshold);
+  if (e.neighbors != snap.neighbors || e.lir != snap.lir ||
+      e.lir_threshold_bits !=
+          std::bit_cast<std::uint64_t>(snap.lir_threshold))
+    return false;
+  // The value compare above keeps a NaN LIR missing; the bitwise one keeps
+  // a zero of the other sign missing. Together they make a match imply an
+  // equal topology_fingerprint().
+  const std::size_t cells = static_cast<std::size_t>(e.lir.rows()) *
+                            static_cast<std::size_t>(e.lir.cols());
+  return cells == 0 || std::memcmp(e.lir.data(), snap.lir.data(),
+                                   cells * sizeof(double)) == 0;
 }
 
 const InterferenceModel& Planner::model(const MeasurementSnapshot& snap,
@@ -36,11 +45,10 @@ const InterferenceModel& Planner::model(const MeasurementSnapshot& snap,
   for (const SnapshotLink& l : snap.links)
     caps_scratch_.push_back(l.estimate.capacity_bps);
 
-  const std::uint64_t fp = snap.topology_fingerprint();
   ++clock_;
   last_entry_ = nullptr;
   for (Entry& e : entries_) {
-    if (e.fingerprint == fp && matches(e, snap, kind, mis_cap)) {
+    if (matches(e, snap, kind, mis_cap)) {
       e.last_used = clock_;
       ++stats_.hits;
       last_entry_ = &e;
@@ -51,13 +59,14 @@ const InterferenceModel& Planner::model(const MeasurementSnapshot& snap,
       refresh_extreme_point_matrix(caps_scratch_, e.topology.mis_rows,
                                    e.model->extreme_points_);
       if (obs_ != nullptr) {
-        obs_->emit(ObsStage::kCache, ObsKind::kEvent, ObsCode::kCacheHit, fp,
-                   e.topology.mis_rows.count());
+        obs_->emit(ObsStage::kCache, ObsKind::kEvent, ObsCode::kCacheHit,
+                   e.fingerprint, e.topology.mis_rows.count());
       }
       return *e.model;
     }
   }
 
+  const std::uint64_t fp = snap.topology_fingerprint();
   // Repaired-snapshot builds are barred from storing an entry, so they are
   // not cache misses — a miss implies the cache could have held it.
   if (!cacheable)

@@ -8,8 +8,7 @@
 // LIR table + threshold. Capacity estimates, which drift every round, only
 // feed the extreme-point matrix refill. The planner splits the build along
 // that line (InterferenceModel::build_topology / from_topology) and caches
-// the topology stage in a small LRU keyed by
-// MeasurementSnapshot::topology_fingerprint(), so
+// the topology stage in a small LRU keyed by those inputs, so
 //
 //   * a constant-topology trace replay pays Bron–Kerbosch once, then every
 //     further round is a matrix refill + plan (the ≥5x replay win at
@@ -19,9 +18,8 @@
 //     and interferer/loss churn — which moves capacities, not the
 //     conflict graph — stays on the cached rows.
 //
-// Correctness contract: a cache hit requires BOTH the fingerprint and a
-// full structural comparison of the topology inputs to match (hash
-// collisions can degrade performance, never correctness), and the
+// Correctness contract: a cache hit requires a full structural comparison
+// of the topology inputs, the LIR by value and bit for bit, and the
 // two-stage build is the one-shot build by construction, so plans computed
 // through the planner are bit-identical to the uncached
 // InterferenceModel::build + plan_rates path (pinned in
@@ -172,10 +170,10 @@ class Planner {
 
  private:
   /// One cached topology stage plus the exact inputs it was built from
-  /// (the structural key that makes fingerprint collisions harmless) and
-  /// the entry-owned model whose matrix hits refresh in place.
+  /// (the key a hit compares) and the entry-owned model whose matrix hits
+  /// refresh in place.
   struct Entry {
-    std::uint64_t fingerprint = 0;
+    std::uint64_t fingerprint = 0;  ///< of the inputs, for trace records
     InterferenceModelKind requested_kind = InterferenceModelKind::kTwoHop;
     std::size_t mis_cap = 0;
     std::vector<LinkRef> links;

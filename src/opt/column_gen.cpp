@@ -342,14 +342,16 @@ LpProblem& ColumnGenOptimizer::Region::build(int extra_vars) {
   const MisRowSet& columns = cg_.columns_;
   refill(in_.routing, columns.count(), extra_vars);
   const double inv_scale = 1.0 / scale();
-  for (int l = 0; l < s_.links; ++l) {
-    double* row = lp_.coeffs.row(l) + flows();
-    const std::uint64_t bit = std::uint64_t{1} << (l & 63);
-    const double coef =
-        -in_.capacities[static_cast<std::size_t>(l)] * inv_scale;
-    for (int k = 0; k < columns.count(); ++k)
-      if ((columns.row(k)[static_cast<std::size_t>(l >> 6)] & bit) != 0)
-        row[k] = coef;
+  // Column k holds -capacity / scale in the rows of its set link bits.
+  for (int k = 0; k < columns.count(); ++k) {
+    const std::uint64_t* bits = columns.row(k);
+    for (int w = 0; w < columns.row_words(); ++w) {
+      for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+        const int l = 64 * w + std::countr_zero(b);
+        lp_.coeffs(l, flows() + k) =
+            -in_.capacities[static_cast<std::size_t>(l)] * inv_scale;
+      }
+    }
   }
   return lp_;
 }

@@ -358,6 +358,16 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
       for (std::size_t i = 0; i < w.flow_ids.size(); ++i)
         z[w.flow_ids[i]] = std::max(w.result.y[i] / sigma, 1e-6);
     }
+    // The components' solvers count every pivot; the oracles' share is
+    // what they add across the joint Frank–Wolfe.
+    const auto solver_pivots = [&] {
+      std::uint64_t total = 0;
+      for (const CompWork& w : works)
+        total += fast ? w.warm->stats().pivots
+                      : slots_[static_cast<std::size_t>(w.comp)]->lp.pivots();
+      return total;
+    };
+    const std::uint64_t pivots_before_fw = solver_pivots();
     const FwRun run = frank_wolfe(
         cfg.optimizer, static_cast<int>(num_flows), z,
         [&](const std::vector<double>& grad, bool first) {
@@ -373,6 +383,7 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
           }
           return std::span<const double>(v);
         });
+    stats_.oracle_pivots += solver_pivots() - pivots_before_fw;
     for (CompWork& w : works)
       if (w.oracle_ok) w.region->carry();
     fw_iterations = run.iterations;

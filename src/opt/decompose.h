@@ -99,6 +99,8 @@ struct DecomposeStats {
   std::uint64_t partition_rebuilds = 0;   ///< component slots torn down by
                                           ///< a changed partition
   std::uint64_t pivots = 0;  ///< simplex pivots of decomposed rounds
+  std::uint64_t oracle_pivots = 0;  ///< the part of `pivots` taken by the
+                                    ///< joint Frank–Wolfe oracles
   std::uint64_t master_solves = 0;  ///< fast tier: restricted-master solves
                                     ///< of decomposed rounds
   // Fast tier, decomposed rounds: the components' ColumnGenStats deltas.

@@ -11,10 +11,14 @@
 // blocks once and updates only those blocks of every other row.
 // Rate-region masters over clique components are mostly exact zeros (a
 // single-link independent set is a column with two nonzeros), so this
-// skips most of the work. Every processed block runs the dense
-// arithmetic, and rows that may hold a -0.0 keep the full dense update, so
-// the tableau matches the dense kernel bit for bit, signs of zeros
-// included (ARCHITECTURE.md, "Optimizer").
+// skips most of the work. The pivot first gathers the rows to update and
+// their multipliers, then sweeps block-major: each listed block of the
+// pivot row is loaded into registers once and updates that block of
+// every gathered row. Every path, narrow tableaux included, runs the same
+// block kernels, each the dense arithmetic element by element, and rows
+// that may hold a -0.0 keep the full dense update, so the tableau matches
+// the dense kernel bit for bit, signs of zeros included (ARCHITECTURE.md,
+// "Optimizer").
 //
 // Instruction sets: the solve path (opt/simplex_path.inc) is compiled once
 // for the default target and once for AVX2, and each solve entry runs the
@@ -156,6 +160,9 @@ struct LpState {
   bool obj_neg_zero = false;   ///< the same for the reduced-cost row
   std::vector<int> nz_blocks;  ///< first column of each nonzero 8-double
                                ///< block of the pivot row (scratch)
+  std::vector<double*> elim_rows;  ///< rows a pivot sweeps block-major,
+                                   ///< the objective row included
+  std::vector<double> elim_f;      ///< their multipliers (scratch, both)
   LpSolution sol;              ///< result of the most recent solve
 };
 

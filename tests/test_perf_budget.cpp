@@ -156,10 +156,11 @@ TEST(PerfBudget, ExactTierAlphaFairSolve) {
 /// 50-link-per-cluster city: a cold round (component max-min starts, then
 /// the joint Frank–Wolfe with one linear oracle per component), then a
 /// warm one on drifted capacities, whose fast-tier oracles start from the
-/// carried bases. Counts are cumulative after each round. Every city
-/// cluster is a clique, so each fast-tier master is certified complete and
-/// none is priced (60/116 pricing rounds and 2792/5387 MWIS nodes while
-/// each master priced once).
+/// carried bases. Counts are cumulative after each round; the joint
+/// Frank–Wolfe oracles take 238/473 of the pivots, the components'
+/// water-filling the rest. Every city cluster is a clique, so each
+/// fast-tier master is certified complete and none is priced (60/116
+/// pricing rounds and 2792/5387 MWIS nodes while each master priced once).
 TEST(PerfBudget, DecomposedCityProportionalFairRounds) {
   CityParams p;
   p.links_per_cluster = 50;
@@ -173,6 +174,7 @@ TEST(PerfBudget, DecomposedCityProportionalFairRounds) {
   struct Pin {
     PlanTier tier;
     std::vector<std::uint64_t> pivots;
+    std::vector<std::uint64_t> oracle_pivots;
     std::vector<std::uint64_t> master_solves;
     std::vector<int> fw_iterations;
     std::vector<std::uint64_t> certified_masters;
@@ -180,22 +182,23 @@ TEST(PerfBudget, DecomposedCityProportionalFairRounds) {
     std::vector<std::uint64_t> oracle_nodes;
   };
   const Pin pins[] = {
-      {PlanTier::kExact, {1362u, 2721u}, {0u, 0u}, {9, 8}, {0u, 0u}, {0u, 0u},
-       {0u, 0u}},
-      {PlanTier::kFast, {1362u, 2721u}, {60u, 116u}, {9, 8}, {60u, 116u},
-       {0u, 0u}, {0u, 0u}},
+      {PlanTier::kExact, {1362u, 2721u}, {238u, 473u}, {0u, 0u}, {9, 8},
+       {0u, 0u}, {0u, 0u}, {0u, 0u}},
+      {PlanTier::kFast, {1362u, 2721u}, {238u, 473u}, {60u, 116u}, {9, 8},
+       {60u, 116u}, {0u, 0u}, {0u, 0u}},
   };
   for (const Pin& pin : pins) {
     PlanConfig cfg;
     cfg.optimizer.objective = Objective::kProportionalFair;
     cfg.tier = pin.tier;
     DecomposedPlanner planner;
-    Pin got{pin.tier, {}, {}, {}, {}, {}, {}};
+    Pin got{pin.tier, {}, {}, {}, {}, {}, {}, {}};
     for (const MeasurementSnapshot* snap : rounds) {
       const RatePlan plan =
           planner.plan(*snap, InterferenceModelKind::kLirTable, flows, cfg);
       ASSERT_TRUE(plan.ok);
       got.pivots.push_back(planner.stats().pivots);
+      got.oracle_pivots.push_back(planner.stats().oracle_pivots);
       got.master_solves.push_back(planner.stats().master_solves);
       got.fw_iterations.push_back(plan.optimizer_iterations);
       got.certified_masters.push_back(planner.stats().certified_masters);
@@ -205,6 +208,7 @@ TEST(PerfBudget, DecomposedCityProportionalFairRounds) {
     const bool fast = pin.tier == PlanTier::kFast;
     EXPECT_EQ(planner.stats().decomposed_rounds, 2u) << "fast " << fast;
     EXPECT_EQ(got.pivots, pin.pivots) << "fast " << fast;
+    EXPECT_EQ(got.oracle_pivots, pin.oracle_pivots) << "fast " << fast;
     EXPECT_EQ(got.master_solves, pin.master_solves) << "fast " << fast;
     EXPECT_EQ(got.fw_iterations, pin.fw_iterations) << "fast " << fast;
     EXPECT_EQ(got.certified_masters, pin.certified_masters) << "fast " << fast;

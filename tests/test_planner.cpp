@@ -1,11 +1,12 @@
 // Planner / topology-keyed model cache tests: fingerprint stability across
 // capacity-only changes (and sensitivity to any neighbor/LIR edit), cache
-// hit/miss/eviction accounting, cached-vs-uncached model and plan
-// bit-identity on the live and replay paths, trace-segment sharding
-// bit-identity, the two-stage build equivalence, and the routing of
-// PlanConfig::decompose rounds.
+// hit/miss/eviction accounting, NaN and signed-zero LIR keys,
+// cached-vs-uncached model and plan bit-identity on the live and replay
+// paths, trace-segment sharding bit-identity, the two-stage build
+// equivalence, and the routing of PlanConfig::decompose rounds.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "core/rate_plan.h"
 #include "core/snapshot.h"
 #include "model/feasibility.h"
+#include "obs/obs.h"
 #include "opt/decompose.h"
 #include "probe/live_source.h"
 #include "scenario/topologies.h"
@@ -191,6 +193,45 @@ TEST(Planner, CacheAccountingHitsMissesEvictions) {
   EXPECT_EQ(uncached.stats().misses, 2u);
   EXPECT_EQ(uncached.stats().hits, 0u);
   EXPECT_EQ(uncached.cached_topologies(), 0u);
+}
+
+TEST(Planner, HitsNeedAnLirEqualInValueAndBits) {
+  // A hit compares the LIR by value, so a NaN cell never matches (not even
+  // itself), and bit for bit, so a zero of the other sign is another
+  // topology, as it is to topology_fingerprint().
+  Planner planner(4);
+  TraceRecorder rec;
+  planner.set_observer(&rec);
+  MeasurementSnapshot nan_lir = lir_snapshot(10, 5);
+  nan_lir.lir(1, 2) = std::numeric_limits<double>::quiet_NaN();
+  (void)planner.model(nan_lir, InterferenceModelKind::kLirTable);
+  (void)planner.model(nan_lir, InterferenceModelKind::kLirTable);
+  EXPECT_EQ(planner.stats().hits, 0u);
+  EXPECT_EQ(planner.stats().misses, 2u);
+  EXPECT_EQ(planner.cached_topologies(), 2u);
+
+  MeasurementSnapshot pos = lir_snapshot(10, 5);
+  pos.lir(3, 4) = 0.0;
+  MeasurementSnapshot neg = pos;
+  neg.lir(3, 4) = -0.0;
+  ASSERT_NE(pos.topology_fingerprint(), neg.topology_fingerprint());
+  (void)planner.model(pos, InterferenceModelKind::kLirTable);
+  (void)planner.model(neg, InterferenceModelKind::kLirTable);
+  EXPECT_EQ(planner.stats().hits, 0u);
+  EXPECT_EQ(planner.stats().misses, 4u);
+  EXPECT_EQ(planner.cached_topologies(), 4u);
+  (void)planner.model(neg, InterferenceModelKind::kLirTable);
+  (void)planner.model(pos, InterferenceModelKind::kLirTable);
+  EXPECT_EQ(planner.stats().hits, 2u);
+  EXPECT_EQ(planner.stats().misses, 4u);
+  EXPECT_EQ(planner.stats().evictions, 0u);
+
+  // Each hit record carries the fingerprint of the snapshot it served.
+  std::vector<std::uint64_t> hit_fps;
+  for (const ObsRecord& r : rec.canonical_records())
+    if (r.code == ObsCode::kCacheHit) hit_fps.push_back(r.a);
+  EXPECT_EQ(hit_fps, (std::vector<std::uint64_t>{neg.topology_fingerprint(),
+                                                 pos.topology_fingerprint()}));
 }
 
 TEST(Planner, UncacheableBuildsAreNotCacheMisses) {

@@ -601,6 +601,10 @@ class DenseLpSolver {
                                             const std::vector<int>& hint);
   [[nodiscard]] const std::vector<int>& basis() const { return basis_; }
   void duals(std::vector<double>& out) const;
+  [[nodiscard]] const DenseMatrix& tableau() const { return tab_; }
+  [[nodiscard]] const std::vector<double>& reduced_costs() const {
+    return obj_;
+  }
 
  private:
   void load(const LpProblem& p);
@@ -1098,6 +1102,8 @@ class BasicDifferential {
   }
 
   [[nodiscard]] std::vector<int> basis() const { return solver_.basis(); }
+  [[nodiscard]] const LpSolver& solver() const { return solver_; }
+  [[nodiscard]] const Reference& reference() const { return reference_; }
 
  private:
   LpSolver solver_;
@@ -1343,6 +1349,60 @@ TEST(SparsePivotDifferential, WideningKeepsTheSignedZerosOfANarrowTableau) {
   lp.coeffs(0, 3) = 1.0;
   lp.coeffs(1, 3) = 1.0;
   d.resolve_with_added_columns(lp, "widened");
+}
+
+TEST(SparsePivotDifferential, OneWidePivotDispatchesEveryRowKind) {
+  // One crash pivot, x0 into row P, on a wide tableau (70 variables and 6
+  // slacks, then the rhs: stride 80). P is nonzero in blocks 0, 8 and 9
+  // only, so the pivot skips blocks 1-7 of the rows it sweeps: A and B.
+  // Row Z holds a -0.0 in block 4 and f = -1, where the dense update
+  // writes -0.0 - (-1 * +0.0) = +0.0; rows I and N have the multipliers
+  // -inf and NaN, which turn the zeros of every block into NaN. Each
+  // SimplexIsa copy must leave the dense kernel's tableau, byte for byte.
+  constexpr int kVars = 70;
+  constexpr int kP = 0, kZ = 3, kI = 4, kN = 5;
+  LpProblem lp;
+  lp.num_vars = kVars;
+  lp.objective.assign(kVars, 0.0);
+  double* p = lp.add_row(Relation::kLe, 4.0);
+  p[0] = 2.0;
+  p[1] = 1.0;
+  double* a = lp.add_row(Relation::kLe, 3.0);
+  a[0] = 1.5;
+  a[20] = 1.0;
+  a[40] = -2.0;
+  double* b = lp.add_row(Relation::kLe, 5.0);
+  b[0] = -0.5;
+  b[1] = 3.0;
+  b[60] = 1.0;
+  double* z = lp.add_row(Relation::kLe, 2.0);
+  z[0] = -1.0;
+  z[33] = -0.0;
+  z[50] = 1.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  lp.add_row(Relation::kLe, 1.0)[0] = -kInf;
+  lp.add_row(Relation::kLe, 1.0)[0] = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<int> hint = {0,         kVars + 1, kVars + 2,
+                                 kVars + 3, kVars + 4, kVars + 5};
+  std::vector<SimplexIsa> isas = {SimplexIsa::kBaseline};
+  if (simplex_isa_supported(SimplexIsa::kAvx2))
+    isas.push_back(SimplexIsa::kAvx2);
+  for (const SimplexIsa isa : isas) {
+    Differential d(LpSolver(isa), dense_reference::DenseLpSolver{});
+    d.solve_with_basis(lp, hint, "one-pivot");
+    EXPECT_EQ(d.hints_accepted, 1);
+    EXPECT_EQ(d.solver().pivots(), 1u);
+    const DenseMatrix& tab = d.solver().tableau();
+    ASSERT_EQ(tab.cols(), 80);
+    EXPECT_EQ(tab(kP, 0), 1.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tab(kZ, 33)), 0u);  // +0.0
+    EXPECT_TRUE(std::isnan(tab(kI, 33)));
+    EXPECT_TRUE(std::isnan(tab(kN, 33)));
+    EXPECT_TRUE(same_bytes(tab, d.reference().tableau())) << "tableau";
+    EXPECT_TRUE(same_bytes(d.solver().reduced_costs(),
+                           d.reference().reduced_costs()))
+        << "reduced costs";
+  }
 }
 
 /// Solves that reach both outcomes of solve_with_basis and -0.0 values in
