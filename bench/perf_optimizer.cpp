@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/controller.h"
-#include "core/guard.h"
 #include "core/planner.h"
 #include "core/snapshot_source.h"
 #include "estimation/loss_estimator.h"
@@ -388,27 +387,6 @@ void BM_ControllerRoundTraced(benchmark::State& state) {
   state.counters["records"] = static_cast<double>(obs.records_emitted());
 }
 BENCHMARK(BM_ControllerRoundTraced);
-
-// The same full round through the guarded control loop on clean inputs:
-// snapshot validation, plan guardrails, and the health state machine ride
-// along on every window. Against BM_ControllerRound this is the guard
-// layer's overhead on the healthy path — the acceptance bar is <= 1.05x,
-// i.e. validation must be noise next to the probing simulation and the
-// optimizer.
-void BM_GuardedRound(benchmark::State& state) {
-  Workbench wb(71);
-  build_gateway_chain(wb);
-  MeshController ctl(wb.net(), bench_gateway_config(), 71);
-  add_bench_gateway_flows(wb, ctl);
-  ctl.set_guard(GuardConfig{});
-  LiveSource live(wb, ctl);
-
-  for (auto _ : state) {
-    const RoundResult round = ctl.guarded_round(live);
-    benchmark::DoNotOptimize(round);
-  }
-}
-BENCHMARK(BM_GuardedRound);
 
 // Trace replay: the same gateway scenario as BM_ControllerRound, but the
 // probing windows were recorded once up front (outside the timed loop)

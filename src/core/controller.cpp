@@ -117,7 +117,11 @@ void MeshController::start_probing() {
     // bit-identical to per-tick scheduling; see ProbeAgent::start).
     agent.start(cfg_.probe_window);
   }
-  // Open a fresh measurement window on every stream of interest.
+  // Monitors record every probe stream they overhear. Clear them all, so
+  // the streams no link reads stay bounded by one window, then open a
+  // fresh measurement window on every stream of interest.
+  for (auto& monitor : monitors_)
+    if (monitor) monitor->reset_all();
   for (const LinkRef& l : links_) {
     const std::uint64_t data_base =
         ensure_agent(l.src).sent(l.rate, ProbeKind::kDataProbe);
@@ -220,43 +224,6 @@ void MeshController::sense_window(Workbench& wb) {
   sense_span.payload(snapshot_.links.size(), snapshot_.neighbors.size());
 }
 
-void MeshController::apply_plan(const RatePlan& plan) {
-  if (!plan.ok) return;
-  for (const ShaperProgram& prog : plan.shapers) {
-    for (const ManagedFlow& f : flows_) {
-      if (f.flow_id == prog.flow_id) {
-        if (f.apply_rate) f.apply_rate(prog.x_bps);
-        break;
-      }
-    }
-  }
-}
-
-RoundResult MeshController::optimize_and_apply() {
-  RoundResult round;
-  if (obs_ != nullptr) obs_->set_context(obs_lane_, obs_round_);
-  ++obs_round_;
-  ControllerRoundObs round_obs(this);
-  if (flows_.empty() || snapshot_.links.size() != links_.size() ||
-      links_.empty()) {
-    return round;
-  }
-
-  // Model + plan through the planner: rounds whose topology fingerprint
-  // matches the previous round reuse the cached MIS enumeration
-  // (bit-identical to an uncached InterferenceModel::build, pinned in
-  // tests/test_planner.cpp), and fast-tier plans additionally reuse the
-  // entry's column-generation warm state across rounds.
-  plan_ = plan_snapshot(/*cacheable=*/true);
-  if (!plan_.ok) return round;
-
-  {
-    ObsSpan apply_span(obs_, ObsStage::kApply);
-    apply_plan(plan_);
-  }
-  return ok_round();
-}
-
 RatePlan MeshController::plan_snapshot(bool cacheable) {
   ObsSpan plan_span(obs_, ObsStage::kPlan);
   RatePlan plan =
@@ -271,22 +238,6 @@ RatePlan MeshController::plan_snapshot(bool cacheable) {
   return plan;
 }
 
-RoundResult MeshController::ok_round() const {
-  RoundResult round;
-  round.ok = true;
-  round.links = estimates_;
-  round.y = plan_.y;
-  round.x = plan_.x;
-  round.extreme_points = plan_.extreme_points;
-  round.optimizer_iterations = plan_.optimizer_iterations;
-  return round;
-}
-
-RoundResult MeshController::run_round(Workbench& wb) {
-  sense_window(wb);
-  return optimize_and_apply();
-}
-
 void MeshController::set_observer(TraceRecorder* obs, std::uint32_t lane) {
   obs_ = obs;
   obs_lane_ = lane;
@@ -294,14 +245,14 @@ void MeshController::set_observer(TraceRecorder* obs, std::uint32_t lane) {
   if (obs_ != nullptr) obs_->set_context(obs_lane_, obs_round_);
 }
 
-// ------------------------------------------------------- guarded rounds
+// ---------------------------------------------------------- the round
 
 void MeshController::set_guard(GuardConfig cfg) {
   guard_cfg_ = cfg;
   backoff_next_ = std::max(1, guard_cfg_.backoff_start);
 }
 
-bool MeshController::apply_plan_checked(const RatePlan& plan) {
+bool MeshController::apply_plan(const RatePlan& plan) {
   if (!plan.ok) return true;  // nothing to actuate
   bool ok = true;
   for (const ShaperProgram& prog : plan.shapers) {
@@ -324,6 +275,17 @@ bool MeshController::apply_plan_checked(const RatePlan& plan) {
   return ok;
 }
 
+RoundResult MeshController::hold_round() {
+  ++hstats_.fallback_rounds;
+  // Re-actuate the last-known-good plan so a partially applied bad plan
+  // (or a shaper the failing path already touched) is restored.
+  (void)apply_plan(last_good_plan_);
+  RoundResult round;
+  round.health = health_;
+  round.held = last_good_plan_.ok;
+  return round;
+}
+
 RoundResult MeshController::fail_round() {
   if (health_ != HealthState::kFallback) {
     ++hstats_.fallback_entries;
@@ -343,14 +305,7 @@ RoundResult MeshController::fail_round() {
   // before the next re-plan attempt, doubling per consecutive failure.
   backoff_wait_ = backoff_next_;
   backoff_next_ = std::min(backoff_next_ * 2, guard_cfg_.backoff_max);
-  ++hstats_.fallback_rounds;
-  // Hold the last-known-good plan: re-actuate it so a partially applied
-  // bad plan (or a shaper the failing path already touched) is restored.
-  (void)apply_plan_checked(last_good_plan_);
-  RoundResult round;
-  round.health = health_;
-  round.held = last_good_plan_.ok;
-  return round;
+  return hold_round();
 }
 
 RoundResult MeshController::guarded_step(MeasurementSnapshot snap) {
@@ -366,16 +321,11 @@ RoundResult MeshController::guarded_step(MeasurementSnapshot snap) {
   if (health_ == HealthState::kFallback && backoff_wait_ > 0) {
     --backoff_wait_;
     ++hstats_.backoff_skips;
-    ++hstats_.fallback_rounds;
     if (obs_ != nullptr) {
       obs_->emit(ObsStage::kHealth, ObsKind::kEvent, ObsCode::kBackoffSkip,
                  static_cast<std::uint64_t>(backoff_wait_));
     }
-    (void)apply_plan_checked(last_good_plan_);
-    RoundResult round;
-    round.health = health_;
-    round.held = last_good_plan_.ok;
-    return round;
+    return hold_round();
   }
 
   const SnapshotValidator validator(guard_cfg_.snapshot);
@@ -442,7 +392,7 @@ RoundResult MeshController::guarded_step(MeasurementSnapshot snap) {
 
   {
     ObsSpan apply_span(obs_, ObsStage::kApply);
-    const bool applied = apply_plan_checked(plan_);
+    const bool applied = apply_plan(plan_);
     apply_span.payload(applied ? 1 : 0);
     if (!applied) return fail_round();
   }
@@ -469,9 +419,24 @@ RoundResult MeshController::guarded_step(MeasurementSnapshot snap) {
   backoff_next_ = std::max(1, guard_cfg_.backoff_start);
   last_good_plan_ = plan_;
 
-  RoundResult round = ok_round();
+  RoundResult round;
+  round.ok = true;
+  round.links = estimates_;
+  round.y = plan_.y;
+  round.x = plan_.x;
+  round.extreme_points = plan_.extreme_points;
+  round.optimizer_iterations = plan_.optimizer_iterations;
   round.health = health_;
   return round;
+}
+
+RoundResult MeshController::optimize_and_apply() {
+  return guarded_step(snapshot_);
+}
+
+RoundResult MeshController::run_round(Workbench& wb) {
+  sense_window(wb);
+  return optimize_and_apply();
 }
 
 RoundResult MeshController::guarded_round(SnapshotSource& source) {

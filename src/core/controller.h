@@ -2,13 +2,16 @@
 // MeshController — the paper's online optimization loop (Sections 5-6),
 // as a thin adapter over the staged control-plane pipeline:
 //
-//   sense  — run the broadcast probing system, read the monitors into a
-//            MeasurementSnapshot (value type, JSON-serializable),
-//   model  — InterferenceModel::build(snapshot, kind): conflict graph +
-//            extreme points (Eq. 4),
-//   plan   — plan_rates(snapshot, model, flows, cfg): pure optimization
-//            to a RatePlan (target y_s, input x_s, shaper programs),
-//   apply  — program the flows' rate limiters from the plan.
+//   sense    — run the broadcast probing system, read the monitors into a
+//              MeasurementSnapshot (value type, JSON-serializable),
+//   validate — SnapshotValidator (core/guard.h): range, NaN and coverage
+//              checks with a clamp-or-drop repair tier,
+//   model    — InterferenceModel::build(snapshot, kind): conflict graph +
+//              extreme points (Eq. 4),
+//   plan     — plan_rates(snapshot, model, flows, cfg): pure optimization
+//              to a RatePlan (target y_s, input x_s, shaper programs),
+//              checked by the PlanValidator guardrail,
+//   apply    — program the flows' rate limiters from the plan.
 //
 // Only sense and apply touch the live Network; the middle stages are pure
 // value-type functions, so a recorded snapshot replayed offline produces a
@@ -17,7 +20,8 @@
 //
 // The controller stays phase-explicit (start_probing / update_estimates /
 // optimize_and_apply) so experiments can interleave it with traffic
-// exactly like the paper's two-phase runs; run_round() wraps a full cycle.
+// exactly like the paper's two-phase runs; every entry point ends in the
+// one control round, guarded_step().
 
 #include <cstdint>
 #include <functional>
@@ -92,7 +96,6 @@ struct RoundResult {
   std::vector<double> x;  ///< applied input rates per managed flow
   int extreme_points = 0;
   int optimizer_iterations = 0;
-  /// Guarded-round fields (run_round leaves them at their defaults):
   HealthState health = HealthState::kHealthy;  ///< state after the round
   bool held = false;       ///< fallback: last-known-good plan held instead
   bool exhausted = false;  ///< the SnapshotSource had no more windows
@@ -139,7 +142,7 @@ class MeshController {
   /// One windowed sensing step: start (or keep) probing, advance the
   /// simulation by one probing window, then update_estimates(). This is
   /// the live half of a controller round — LiveSource drives it per
-  /// next(), and run_round() is sense_window + optimize_and_apply.
+  /// next(), and run_round() is sense_window + optimize_and_apply().
   void sense_window(Workbench& wb);
 
   /// Record mode: append every snapshot sensed by update_estimates() to
@@ -157,52 +160,52 @@ class MeshController {
     return snapshot_;
   }
 
-  /// Phase 3: model + plan over the last snapshot, then apply the plan.
+  // ---- The control round (ARCHITECTURE.md, "Control plane"): every entry
+  // point below validates its input and runs the HEALTHY -> DEGRADED ->
+  // FALLBACK state machine; on clean inputs the validators only read.
+
+  /// The one control round over an already produced snapshot: validate
+  /// it (by value: the repair tier mutates this copy, never the
+  /// caller's), plan, guardrail the plan, and actuate — or hold the
+  /// last-known-good plan and back off. Never throws on bad measurements
+  /// or failing apply callbacks; every anomaly lands in health_stats().
+  RoundResult guarded_step(MeasurementSnapshot snap);
+
+  /// Phase 3: guarded_step() over the last sensed snapshot.
   RoundResult optimize_and_apply();
+
+  /// Probe for one window of simulated time, then optimize_and_apply().
+  /// The caller's simulation keeps running its traffic meanwhile.
+  RoundResult run_round(Workbench& wb);
+
+  /// guarded_step() over the next window of `source`. Composes with
+  /// LiveSource (live loop, the same round as run_round), TraceSource
+  /// (replay-driven), and FaultEngine (fault injection) alike.
+  RoundResult guarded_round(SnapshotSource& source);
 
   /// Apply stage on its own: program every managed flow's rate limiter
   /// from `plan` (shapers matched to flows by flow_id). Lets a plan
-  /// computed elsewhere — another thread, a replay — be actuated here.
-  void apply_plan(const RatePlan& plan);
+  /// computed elsewhere — another thread, a replay — be actuated here. A
+  /// throwing callback is counted in health_stats(), not propagated;
+  /// returns false when any callback threw.
+  bool apply_plan(const RatePlan& plan);
 
-  /// The plan produced by the last optimize_and_apply() call.
+  /// The plan of the last round that passed the guardrail (as actuated,
+  /// trust scale included).
   [[nodiscard]] const RatePlan& last_plan() const { return plan_; }
 
-  /// Convenience: probe for one window of simulated time, then estimate
-  /// and apply. Caller's simulation keeps running its traffic meanwhile.
-  RoundResult run_round(Workbench& wb);
-
-  // ---- Resilient control loop (see ARCHITECTURE.md, "Faults &
-  // degradation"). The guarded entry points validate every input before
-  // it reaches the planner or the shapers and run the HEALTHY ->
-  // DEGRADED -> FALLBACK state machine. On clean inputs a guarded round
-  // computes the exact same plan as run_round (the validators only
-  // read), at ≤1.05x the cost (BM_GuardedRound).
-
-  /// Reconfigure the guard layer (validators + state machine knobs).
+  /// Reconfigure the guard layer (validators + state machine knobs);
+  /// GuardConfig{} until called.
   void set_guard(GuardConfig cfg);
   [[nodiscard]] const GuardConfig& guard() const { return guard_cfg_; }
 
-  /// One resilient round: pull the next window from `source`, validate
-  /// it, plan with guardrails, and actuate — or hold the last-known-good
-  /// plan and back off. Composes with LiveSource (live loop), TraceSource
-  /// (replay-driven), and FaultEngine (fault injection) alike. Never
-  /// throws on bad measurements or failing apply callbacks; every
-  /// anomaly lands in health_stats() instead.
-  RoundResult guarded_round(SnapshotSource& source);
-
-  /// The validate/plan/apply core of guarded_round over an already
-  /// produced snapshot (by value: the validator's repair tier mutates
-  /// its copy, never the caller's).
-  RoundResult guarded_step(MeasurementSnapshot snap);
-
-  /// Resilience state after the last guarded round.
+  /// Resilience state after the last round.
   [[nodiscard]] HealthState health() const { return health_; }
   [[nodiscard]] const HealthStats& health_stats() const { return hstats_; }
   /// Current trust scale applied to actuated input rates (1 = full).
   [[nodiscard]] double trust() const { return trust_; }
-  /// The plan a fallback round re-applies (ok == false until a guarded
-  /// round first succeeds).
+  /// The plan a fallback round re-applies (ok == false until a round
+  /// first succeeds).
   [[nodiscard]] const RatePlan& last_good_plan() const {
     return last_good_plan_;
   }
@@ -222,7 +225,7 @@ class MeshController {
   /// controller's records (fleet cells pass their cell index). The
   /// planner — and through it the column-generation warm state — reports
   /// into the same recorder. Round indices count this controller's rounds
-  /// (guarded or unguarded) from the moment of attachment.
+  /// from the moment of attachment.
   void set_observer(TraceRecorder* obs, std::uint32_t lane = 0);
   [[nodiscard]] TraceRecorder* observer() const { return obs_; }
 
@@ -234,16 +237,14 @@ class MeshController {
   /// Make `snap` the current snapshot: refresh the link-estimate view and
   /// topology database (no trace write).
   void adopt_snapshot(MeasurementSnapshot snap);
-  /// The plan stage of both loops: plan the current snapshot inside one
+  /// The plan stage of the round: plan the current snapshot inside one
   /// kPlan span (payload: K << 32 | FW iterations, objective bits).
   [[nodiscard]] RatePlan plan_snapshot(bool cacheable);
-  /// The RoundResult of a round that actuated plan_ (health left default).
-  [[nodiscard]] RoundResult ok_round() const;
-  /// Apply `plan` through the managed flows' callbacks, swallowing (and
-  /// counting) exceptions. Returns false when any callback threw.
-  bool apply_plan_checked(const RatePlan& plan);
-  /// Transition bookkeeping for a failed guarded attempt: enter (or stay
-  /// in) kFallback, arm the exponential backoff, hold the LKG plan.
+  /// A round that plans nothing new: count it as a fallback round and
+  /// re-actuate the last-known-good plan.
+  RoundResult hold_round();
+  /// Transition bookkeeping for a failed attempt: enter (or stay in)
+  /// kFallback, arm the exponential backoff, hold the LKG plan.
   RoundResult fail_round();
 
   Network& net_;
@@ -269,7 +270,7 @@ class MeshController {
   std::function<bool(NodeId, NodeId)> neighbor_pred_;
   TraceWriter* trace_writer_ = nullptr;  ///< borrowed; see record_to()
 
-  // Guard layer state (see guarded_round).
+  // Guard layer state (see guarded_step).
   GuardConfig guard_cfg_{};
   HealthState health_ = HealthState::kHealthy;
   HealthStats hstats_;

@@ -23,12 +23,14 @@
 // contract as the rest of the pipeline).
 //
 // The resilience state machine that consumes these reports lives in
-// MeshController (core/controller.h): HEALTHY -> DEGRADED (repaired
-// snapshot, decayed trust) -> FALLBACK (hold last-known-good plan,
-// exponential-backoff re-probe). HealthState/HealthStats are defined here
-// so fleet drivers and tests can consume them without the controller.
-// plan_guarded() is the stateless guarded round that guarded fleet replay
-// and guarded serve tenants share: no held plan, no backoff.
+// MeshController's one control round (core/controller.h, guarded_step):
+// HEALTHY -> DEGRADED (repaired snapshot, decayed trust) -> FALLBACK
+// (hold last-known-good plan, exponential-backoff re-probe). Every
+// controller round runs it, under GuardConfig{} unless set_guard() says
+// otherwise. HealthState/HealthStats are defined here so fleet drivers
+// and tests can consume them without the controller. plan_guarded() is
+// the stateless guarded round that guarded fleet replay and guarded
+// serve tenants share: no held plan, no backoff.
 
 #include <cstddef>
 #include <cstdint>
@@ -177,7 +179,7 @@ class PlanValidator {
 
 // --------------------------------------------------------------- health
 
-/// The controller's resilience state (see MeshController::guarded_round).
+/// The controller's resilience state (see MeshController::guarded_step).
 enum class HealthState : std::uint8_t {
   kHealthy,   ///< clean snapshot, valid plan applied
   kDegraded,  ///< repaired snapshot planned under decayed trust
@@ -186,9 +188,9 @@ enum class HealthState : std::uint8_t {
 
 [[nodiscard]] const char* to_string(HealthState state);
 
-/// Cumulative counters of the guarded control loop.
+/// Cumulative counters of the controller's control round.
 struct HealthStats {
-  std::uint64_t rounds = 0;           ///< guarded rounds run
+  std::uint64_t rounds = 0;           ///< rounds run
   std::uint64_t healthy_rounds = 0;   ///< rounds ending kHealthy
   std::uint64_t degraded_rounds = 0;  ///< rounds ending kDegraded
   std::uint64_t fallback_rounds = 0;  ///< rounds ending kFallback
@@ -206,7 +208,7 @@ struct HealthStats {
   friend bool operator==(const HealthStats&, const HealthStats&) = default;
 };
 
-/// Knobs of the guarded control loop (validators + state machine).
+/// Knobs of the controller's control round (validators + state machine).
 struct GuardConfig {
   SnapshotGuardConfig snapshot{};
   PlanGuardConfig plan{};

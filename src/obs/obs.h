@@ -36,7 +36,7 @@ namespace meshopt {
 /// Which pipeline stage a record belongs to. One Perfetto lane per stage
 /// (components get their own sub-lanes keyed by the record payload).
 enum class ObsStage : std::uint8_t {
-  kRound = 0,   ///< whole-round span (guarded or unguarded)
+  kRound = 0,   ///< whole-round span
   kSense,       ///< probing-window simulation (live source only)
   kValidate,    ///< SnapshotValidator verdict + repair findings
   kModel,       ///< interference-model build (planner cache miss path)

@@ -2,14 +2,15 @@
 // LiveSource — the probing-window simulation behind the SnapshotSource
 // interface (see ARCHITECTURE.md, "Trace & replay").
 //
-// Each next() runs one full estimation window on the live simulation:
-// start (or keep) the broadcast probing system, advance simulated time by
-// the controller's probing window, then sense the monitors into a
-// MeasurementSnapshot. This is exactly what MeshController::run_round does
-// before planning — run_round is itself implemented on this windowed
-// sensing step — so a consumer written against SnapshotSource sees the
-// same snapshot sequence whether it drives a live simulation here or a
-// recorded trace through TraceSource.
+// Each next() runs one full estimation window on the live simulation
+// (MeshController::sense_window): start (or keep) the broadcast probing
+// system, advance simulated time by the controller's probing window, then
+// sense the monitors into a MeasurementSnapshot. guarded_round over a
+// LiveSource is therefore the same round as MeshController::run_round —
+// same snapshots, plans, trace records and health counters — and a
+// consumer written against SnapshotSource sees the same snapshot sequence
+// whether it drives a live simulation here or a recorded trace through
+// TraceSource.
 //
 // Combine with MeshController::record_to() to persist every sensed window
 // to a binary trace while the live run proceeds.

@@ -37,8 +37,7 @@ FleetResult run_cell(const FleetCell& cell, const SweepJob& job,
   MeshController ctl(wb.net(), cell.controller, job.seed);
   if (obs != nullptr)
     ctl.set_observer(obs, static_cast<std::uint32_t>(job.index));
-  const bool guarded = cell.guarded || static_cast<bool>(cell.faults);
-  if (guarded) ctl.set_guard(cell.guard);
+  ctl.set_guard(cell.guard);
 
   // The engine outlives the apply callbacks that consult it; it is only
   // engaged (engine.has_value()) for fault cells, after the flows exist.
@@ -64,7 +63,7 @@ FleetResult run_cell(const FleetCell& cell, const SweepJob& job,
       UdpSource* raw = src.get();
       // Scripted kApplyFailure rounds make every shaper program throw —
       // the actuation-path fault the guarded controller must absorb
-      // (apply_plan_checked counts it and the loop falls back).
+      // (apply_plan counts it and the loop falls back).
       mf.apply_rate = [raw, &engine](double x_bps) {
         if (engine.has_value() && engine->apply_fault_now())
           throw std::runtime_error("fault: scripted shaper apply failure");
@@ -83,30 +82,23 @@ FleetResult run_cell(const FleetCell& cell, const SweepJob& job,
   result.index = job.index;
   result.seed = job.seed;
   const int rounds = cell.rounds > 0 ? cell.rounds : 1;
-  if (guarded) {
-    // The guarded loop pulls windows through the SnapshotSource chain:
-    // LiveSource (probing-window simulation), optionally wrapped by the
-    // cell's FaultEngine. Faults are generated from the cell seed, so a
-    // fault study is bit-identical across thread counts like everything
-    // else on the pool.
-    LiveSource live(wb, ctl);
-    SnapshotSource* source = &live;
-    if (cell.faults) {
-      engine.emplace(&live, cell.faults(job.seed));
-      source = &*engine;
-    }
-    for (int r = 0; r < rounds; ++r) {
-      const RoundResult round = ctl.guarded_round(*source);
-      result.ok = round.ok;
-    }
-    result.health = ctl.health_stats();
-    result.health_state = ctl.health();
-  } else {
-    for (int r = 0; r < rounds; ++r) {
-      const RoundResult round = ctl.run_round(wb);
-      result.ok = round.ok;
-    }
+  // The cell pulls windows through the SnapshotSource chain: LiveSource
+  // (probing-window simulation), optionally wrapped by the cell's
+  // FaultEngine. Faults are generated from the cell seed, so a fault
+  // study is bit-identical across thread counts like everything else on
+  // the pool.
+  LiveSource live(wb, ctl);
+  SnapshotSource* source = &live;
+  if (cell.faults) {
+    engine.emplace(&live, cell.faults(job.seed));
+    source = &*engine;
   }
+  for (int r = 0; r < rounds; ++r) {
+    const RoundResult round = ctl.guarded_round(*source);
+    result.ok = round.ok;
+  }
+  result.health = ctl.health_stats();
+  result.health_state = ctl.health();
   ctl.stop_probing();
   for (auto& src : sources) src->stop();
 

@@ -74,15 +74,11 @@ struct FleetCell {
   /// is armed on the cell's Workbench before the first round.
   std::function<DynamicsScript(std::uint64_t cell_seed)> dynamics;
   /// Optional measurement faults: builds the cell's FaultScript from the
-  /// cell seed (same determinism contract as `dynamics`). When set, the
-  /// cell's rounds run through the guarded controller loop with a
-  /// FaultEngine wrapped over the live snapshot source, and scripted
+  /// cell seed (same determinism contract as `dynamics`). When set, a
+  /// FaultEngine wraps the cell's live snapshot source, and scripted
   /// kApplyFailure rounds make every shaper callback throw.
   std::function<FaultScript(std::uint64_t cell_seed)> faults;
-  /// Run the guarded loop even without a fault script (validated rounds,
-  /// health accounting). Implied by `faults`.
-  bool guarded = false;
-  GuardConfig guard{};  ///< guard tuning for guarded/faulted cells
+  GuardConfig guard{};  ///< guard tuning of the cell's controller
 };
 
 /// Outcome of one cell: the last round's full control-plane record.
@@ -91,9 +87,9 @@ struct FleetResult {
   std::uint64_t seed = 0;  ///< the cell's derived RNG seed
   bool ok = false;         ///< last round produced a feasible plan
   MeasurementSnapshot snapshot;  ///< last sensed snapshot
-  RatePlan plan;                 ///< last computed plan
-  /// Guarded/faulted cells: the controller's cumulative health counters
-  /// and final state (defaults otherwise).
+  RatePlan plan;                 ///< last plan that passed the guardrail
+  /// The controller's cumulative health counters and final state (every
+  /// cell runs the guarded round).
   HealthStats health{};
   HealthState health_state = HealthState::kHealthy;
   /// Cell isolation: a cell whose setup or round loop threw reports the
@@ -118,7 +114,7 @@ struct ReplayCell {
   /// Guarded replay: every round runs plan_guarded() (core/guard.h), so
   /// rejected rounds and guardrail-rejected plans yield a default
   /// (ok == false) RatePlan for that round instead of a poisoned one.
-  /// Unlike the live guarded loop there is no last-known-good hold or
+  /// Unlike the live controller round there is no last-known-good hold or
   /// backoff — replay rounds stay pure functions of their snapshot, so
   /// segment sharding remains bit-identical.
   bool guarded = false;

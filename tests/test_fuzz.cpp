@@ -1,5 +1,6 @@
 // Deterministic mutation fuzz of the serve wire's submit frames, JSON and
-// binary (MOTRACE1 record payloads).
+// binary (MOTRACE1 record payloads), and of MOTRACE1 trace files read
+// through TraceReader / read_trace.
 //
 // Serve-shaped snapshots (the serve_2000 tenants' chains: 9-12 links, a
 // 40% LIR conflict table, capacities of 1.5-5 Mb/s) are framed with
@@ -12,7 +13,15 @@
 // which the sanitizer build checks. A frame whose number tokens were
 // rewritten must decode to the snapshot the strtod-based parser would
 // have produced, bit for bit, or fail exactly when it would have failed.
+//
+// Trace files get the same treatment: bit flips anywhere (the header
+// included), truncation and lying record lengths. Under either
+// OnCorruptRecord policy a file must decode or throw std::invalid_argument;
+// the strict reader must agree with the in-memory decode_trace, and the
+// salvaging reader must throw only over a damaged header and count damage
+// exactly when the strict reader throws.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -333,6 +342,209 @@ TEST(WireFuzz, BinaryBitFlipsDecodeOrThrow) {
   }
   EXPECT_GT(decoded, 500);
   EXPECT_GT(rejected, 500);
+}
+
+// ------------------------------------------------------ MOTRACE1 files
+
+/// A MOTRACE1 file of 1-4 serve-shaped snapshots, with the byte offset of
+/// each record's length prefix.
+struct TraceFile {
+  std::vector<MeasurementSnapshot> rounds;
+  std::string bytes;
+  std::vector<std::size_t> record_at;
+};
+
+TraceFile trace_file(RngStream& rng) {
+  TraceFile t;
+  t.bytes = trace_header();
+  for (int r = rng.uniform_int(1, 4); r > 0; --r) {
+    t.rounds.push_back(serve_snapshot(rng));
+    t.record_at.push_back(t.bytes.size());
+    trace_append_record(t.bytes, t.rounds.back());
+  }
+  return t;
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+/// One policy's reading of a trace: the decoded records' bits, the
+/// corrupt-record count, or that std::invalid_argument was thrown. Any
+/// other exception escapes and fails the test.
+struct TraceRead {
+  bool threw = false;
+  std::vector<std::string> records;
+  int corrupt = 0;
+};
+
+std::vector<std::string> record_bits(
+    const std::vector<MeasurementSnapshot>& rounds) {
+  std::vector<std::string> bits;
+  for (const MeasurementSnapshot& s : rounds) bits.push_back(snapshot_bits(s));
+  return bits;
+}
+
+/// Strict reading through TraceReader: after its first throw the reader
+/// is poisoned and every further next() throws std::runtime_error.
+TraceRead read_strict(const std::string& path) {
+  TraceRead out;
+  try {
+    TraceReader reader(path);
+    MeasurementSnapshot snap;
+    try {
+      while (reader.next(snap)) out.records.push_back(snapshot_bits(snap));
+    } catch (const std::invalid_argument&) {
+      out.threw = true;
+      EXPECT_THROW(reader.next(snap), std::runtime_error);
+    }
+  } catch (const std::invalid_argument&) {
+    out.threw = true;  // the header
+  }
+  return out;
+}
+
+TraceRead read_salvage(const std::string& path) {
+  TraceRead out;
+  try {
+    out.records = record_bits(
+        read_trace(path, OnCorruptRecord::kSkipAndCount, &out.corrupt));
+  } catch (const std::invalid_argument&) {
+    out.threw = true;
+  }
+  return out;
+}
+
+/// Reads `bytes` as a file under both policies and checks the invariants
+/// that hold for any input; returns the salvaging read.
+TraceRead check_trace_file(const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + "meshopt-fuzz.trace";
+  write_file(path, bytes);
+  const TraceRead strict = read_strict(path);
+  const TraceRead salvage = read_salvage(path);
+  std::remove(path.c_str());
+
+  // The file reader and the in-memory decoder agree.
+  bool memory_threw = false;
+  std::vector<std::string> memory;
+  try {
+    memory = record_bits(decode_trace(bytes));
+  } catch (const std::invalid_argument&) {
+    memory_threw = true;
+  }
+  EXPECT_EQ(strict.threw, memory_threw);
+  if (!strict.threw) {
+    EXPECT_EQ(strict.records, memory);
+  }
+
+  // Salvage throws only over a damaged header; past it, it counts damage
+  // exactly when the strict reader throws, and agrees with it otherwise.
+  const std::string header = trace_header();
+  const bool header_intact = bytes.compare(0, header.size(), header) == 0;
+  EXPECT_EQ(salvage.threw, !header_intact);
+  EXPECT_EQ(strict.threw, salvage.threw || salvage.corrupt > 0);
+  if (!strict.threw) {
+    EXPECT_EQ(salvage.records, strict.records);
+  }
+  return salvage;
+}
+
+bool is_prefix(const std::vector<std::string>& head,
+               const std::vector<std::string>& whole) {
+  return head.size() <= whole.size() &&
+         std::equal(head.begin(), head.end(), whole.begin());
+}
+
+TEST(TraceFuzz, BitFlipsDecodeOrThrow) {
+  RngStream rng(97, "trace-fuzz-flips");
+  int clean = 0;
+  int damaged = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    TraceFile t = trace_file(rng);
+    // Every fourth file has its flips in the header, every fourth in the
+    // first record's length prefix and link count, the rest anywhere
+    // (length prefixes, counts, enums and doubles alike).
+    const int header = static_cast<int>(trace_header().size());
+    int lo = 0;
+    int hi = static_cast<int>(t.bytes.size());
+    if (iter % 4 == 0) hi = header;
+    if (iter % 4 == 1) {
+      lo = header;
+      hi = header + 8;
+    }
+    for (int k = rng.uniform_int(1, 4); k > 0; --k) {
+      const int at = rng.uniform_int(lo, hi - 1);
+      t.bytes[static_cast<std::size_t>(at)] ^=
+          static_cast<char>(1 << rng.uniform_int(0, 7));
+    }
+    const TraceRead salvage = check_trace_file(t.bytes);
+    if (HasFailure()) FAIL() << "iter " << iter;
+    (salvage.threw || salvage.corrupt > 0 ? damaged : clean) += 1;
+  }
+  EXPECT_GT(clean, 500);
+  EXPECT_GT(damaged, 500);
+}
+
+TEST(TraceFuzz, TruncatedFilesDecodeOrThrow) {
+  RngStream rng(101, "trace-fuzz-truncate");
+  for (int iter = 0; iter < 1500; ++iter) {
+    const TraceFile t = trace_file(rng);
+    const auto cut = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(t.bytes.size()) - 1));
+    const TraceRead salvage = check_trace_file(t.bytes.substr(0, cut));
+    if (HasFailure()) FAIL() << "iter " << iter << " cut " << cut;
+    // A cut loses the tail: what survives is a prefix of the trace, and
+    // the damage is at most one corrupt tail.
+    if (!salvage.threw) {
+      EXPECT_TRUE(is_prefix(salvage.records, record_bits(t.rounds)));
+      EXPECT_LE(salvage.corrupt, 1);
+    }
+  }
+}
+
+TEST(TraceFuzz, LyingRecordLengthsDecodeOrThrow) {
+  RngStream rng(103, "trace-fuzz-length");
+  for (int iter = 0; iter < 1500; ++iter) {
+    TraceFile t = trace_file(rng);
+    const int victim =
+        rng.uniform_int(0, static_cast<int>(t.record_at.size()) - 1);
+    const std::size_t at = t.record_at[static_cast<std::size_t>(victim)];
+    const auto honest = static_cast<std::int64_t>(
+        (victim + 1 < static_cast<int>(t.record_at.size())
+             ? t.record_at[static_cast<std::size_t>(victim) + 1]
+             : t.bytes.size()) -
+        at - 4);
+    std::int64_t lie = 0;
+    switch (rng.uniform_int(0, 2)) {
+      case 0:  // off by a little, either way
+        lie = honest + rng.uniform_int(-16, 16);
+        break;
+      case 1:  // anywhere up to the end of the file
+        lie = rng.uniform_int(0, static_cast<int>(t.bytes.size()));
+        break;
+      default:  // any 32-bit value
+        lie = static_cast<std::int64_t>(rng.next_u64() & 0xffffffffu);
+        break;
+    }
+    if (lie < 0) lie = 0;
+    if (lie == honest) continue;
+    for (int b = 0; b < 4; ++b)
+      t.bytes[at + static_cast<std::size_t>(b)] =
+          static_cast<char>((static_cast<std::uint64_t>(lie) >> (8 * b)) &
+                            0xff);
+    const TraceRead salvage = check_trace_file(t.bytes);
+    if (HasFailure()) FAIL() << "iter " << iter << " lie " << lie;
+    // The records before the lying one are untouched.
+    ASSERT_FALSE(salvage.threw);
+    ASSERT_GE(salvage.records.size(), static_cast<std::size_t>(victim));
+    const std::vector<std::string> all = record_bits(t.rounds);
+    EXPECT_TRUE(std::equal(all.begin(), all.begin() + victim,
+                           salvage.records.begin()));
+    EXPECT_GE(salvage.corrupt, 1);
+  }
 }
 
 }  // namespace

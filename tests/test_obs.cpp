@@ -26,6 +26,7 @@
 #include "core/controller.h"
 #include "core/guard.h"
 #include "obs/export.h"
+#include "probe/live_source.h"
 #include "scenario/faults.h"
 #include "scenario/topologies.h"
 #include "scenario/workbench.h"
@@ -294,6 +295,36 @@ TEST(FlightRecorder, FiresOnFallbackEntryWithTheTransitionRound) {
   }
   EXPECT_TRUE(saw_backoff);
   EXPECT_TRUE(saw_recovery);
+}
+
+/// run_round and guarded_round over a LiveSource are one control round:
+/// the same seed yields the same trace records — the validate span
+/// included — and the same health counters.
+TEST(ControllerTrace, RunRoundTracesLikeTheGuardedLiveRound) {
+  GuardedRig a(59);
+  GuardedRig b(59);
+  TraceRecorder obs_a;
+  TraceRecorder obs_b;
+  a.ctl.set_observer(&obs_a);
+  b.ctl.set_observer(&obs_b);
+  LiveSource live(b.wb, b.ctl);
+  for (int r = 0; r < 4; ++r) {
+    (void)a.ctl.run_round(a.wb);
+    (void)b.ctl.guarded_round(live);
+  }
+
+  const std::vector<ObsRecord> ra = obs_a.canonical_records(false);
+  const std::vector<ObsRecord> rb = obs_b.canonical_records(false);
+  ASSERT_EQ(ra.size(), rb.size());
+  std::size_t validate_spans = 0;
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_TRUE(deterministic_equal(ra[i], rb[i])) << "record " << i;
+    validate_spans += ra[i].stage == ObsStage::kValidate ? 1 : 0;
+  }
+  EXPECT_EQ(validate_spans, 4u);
+  EXPECT_EQ(a.ctl.health_stats(), b.ctl.health_stats());
+  EXPECT_EQ(a.ctl.health_stats().rounds, 4u);
+  EXPECT_EQ(a.ctl.last_plan(), b.ctl.last_plan());
 }
 
 // ------------------------------------------------ chrome trace exporter

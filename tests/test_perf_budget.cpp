@@ -10,7 +10,7 @@
 // the library's vector width: the serve-shaped pins hold for the default
 // x86-64 target, -march=native, and -march=native capped at 128 bits.
 // Heap allocations are a work count too: this binary replaces the global
-// operator new with a counting one.
+// operator new with a counting one, which also tracks the live heap bytes.
 
 #include <atomic>
 #include <cstdint>
@@ -19,8 +19,11 @@
 #include <string>
 #include <vector>
 
+#include <malloc.h>
+
 #include <gtest/gtest.h>
 
+#include "core/controller.h"
 #include "core/planner.h"
 #include "core/snapshot.h"
 #include "model/conflict_graph.h"
@@ -28,6 +31,7 @@
 #include "opt/column_gen.h"
 #include "opt/decompose.h"
 #include "opt/network_optimizer.h"
+#include "probe/live_source.h"
 #include "scenario/topologies.h"
 #include "serve/wire.h"
 #include "util/rng.h"
@@ -35,24 +39,51 @@
 namespace {
 
 std::atomic<std::uint64_t> g_heap_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* acquire(std::size_t bytes) noexcept {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(bytes == 0 ? 1 : bytes);
+  if (p != nullptr)
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  return p;
+}
+
+void release(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
 void* operator new(std::size_t bytes) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  if (void* p = acquire(bytes)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
+// libstdc++ builds the nothrow form on the one above, but a sanitizer
+// runtime supplies its own, which operator delete below must not free.
+void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
+  return acquire(bytes);
+}
 
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace meshopt {
 namespace {
 
 std::uint64_t heap_allocations() {
   return g_heap_allocations.load(std::memory_order_relaxed);
+}
+
+/// Bytes currently held by operator new allocations.
+std::int64_t live_heap_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
 }
 
 /// Cluster 0 of the 50-link-per-cluster city (the replay benchmark's
@@ -321,6 +352,35 @@ TEST(PerfBudget, WarmJsonSubmitDecodeAllocations) {
     ASSERT_EQ(wire_decode_frame(frame, out), frame.size());
   }
   EXPECT_LE(heap_allocations() - before, 30u);
+}
+
+/// A live control loop holds a bounded heap: once warm, the rounds from
+/// N to 2N leave the live bytes where they were. Every monitor records
+/// every probe stream it overhears, read by a link or not, and a stream
+/// that no window resets grows by a byte per probe.
+TEST(PerfBudget, LiveLoopHeapStaysFlat) {
+  ControllerConfig cfg;
+  cfg.probe_period_s = 0.1;
+  cfg.probe_window = 30;
+  cfg.optimizer.objective = Objective::kProportionalFair;
+  Workbench wb(5);
+  build_gateway_chain(wb);
+  MeshController ctl(wb.net(), cfg, 5);
+  ManagedFlow far;
+  far.flow_id = wb.net().open_flow(0, 2, Protocol::kUdp, 1470);
+  far.path = {0, 1, 2};
+  ctl.manage_flow(far);
+  ManagedFlow near;
+  near.flow_id = wb.net().open_flow(3, 2, Protocol::kUdp, 1470);
+  near.path = {3, 2};
+  ctl.manage_flow(near);
+  LiveSource live(wb, ctl);
+
+  constexpr int kRounds = 200;
+  for (int r = 0; r < kRounds; ++r) ASSERT_TRUE(ctl.guarded_round(live).ok);
+  const std::int64_t at_n = live_heap_bytes();
+  for (int r = 0; r < kRounds; ++r) ASSERT_TRUE(ctl.guarded_round(live).ok);
+  EXPECT_LE(live_heap_bytes() - at_n, 1024) << "from " << at_n << " bytes";
 }
 
 }  // namespace
