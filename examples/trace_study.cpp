@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   // column-generation path whose objective tracks exact to <= 1e-6
   // relative — at gateway scale (tiny K) the tiers cost about the same;
   // at MIS/80-class K the fast tier is the difference between a replay
-  // grid taking minutes and taking seconds (BM_ReplayColumnGen).
+  // grid taking minutes and taking seconds.
   struct Variant {
     const char* name;
     Objective objective;

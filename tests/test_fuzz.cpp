@@ -20,6 +20,15 @@
 // the strict reader must agree with the in-memory decode_trace, and the
 // salvaging reader must throw only over a damaged header and count damage
 // exactly when the strict reader throws.
+//
+// Snapshot JSON documents get structural mutations: members and elements
+// deleted, duplicated or renamed, values of another type or wrapped in an
+// array, a ragged LIR table or one with a row too many or too few, a link
+// dropped or duplicated with its LIR row and column, and documents cut off
+// at a token boundary. MeasurementSnapshot::from_json and a JSON submit
+// frame must agree: both decode the same snapshot or both throw
+// std::invalid_argument. A snapshot that decodes must plan through a
+// kLirTable Planner or throw std::invalid_argument.
 
 #include <algorithm>
 #include <cmath>
@@ -35,8 +44,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/planner.h"
 #include "core/snapshot.h"
 #include "serve/wire.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/trace_codec.h"
 
@@ -545,6 +556,319 @@ TEST(TraceFuzz, LyingRecordLengthsDecodeOrThrow) {
                            salvage.records.begin()));
     EXPECT_GE(salvage.corrupt, 1);
   }
+}
+
+// ------------------------------------------------- JSON document structure
+
+/// A mutable copy of a parsed JSON document: scalars keep their spelling,
+/// arrays and objects their children in order (array keys are empty).
+struct JsonNode {
+  JsonValue::Type type = JsonValue::Type::kNull;
+  std::string scalar;
+  std::vector<std::pair<std::string, JsonNode>> kids;
+};
+
+JsonNode to_node(const JsonValue& v) {
+  JsonNode n;
+  n.type = v.type();
+  switch (v.type()) {
+    case JsonValue::Type::kNull:
+      n.scalar = "null";
+      break;
+    case JsonValue::Type::kBool:
+      n.scalar = v.as_bool() ? "true" : "false";
+      break;
+    case JsonValue::Type::kNumber:
+      n.scalar = canonical_number(v.as_number());
+      break;
+    case JsonValue::Type::kString:
+      json_append_string(n.scalar, v.as_string());
+      break;
+    case JsonValue::Type::kArray:
+      for (const JsonValue& item : v.items())
+        n.kids.emplace_back("", to_node(item));
+      break;
+    case JsonValue::Type::kObject:
+      for (const auto& [key, member] : v.members())
+        n.kids.emplace_back(key, to_node(member));
+      break;
+  }
+  return n;
+}
+
+void append_node(std::string& out, const JsonNode& n) {
+  const bool object = n.type == JsonValue::Type::kObject;
+  if (!object && n.type != JsonValue::Type::kArray) {
+    out += n.scalar;
+    return;
+  }
+  out.push_back(object ? '{' : '[');
+  for (std::size_t i = 0; i < n.kids.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    if (object) {
+      json_append_string(out, n.kids[i].first);
+      out.push_back(':');
+    }
+    append_node(out, n.kids[i].second);
+  }
+  out.push_back(object ? '}' : ']');
+}
+
+void collect_nodes(JsonNode& n, std::vector<JsonNode*>& all) {
+  all.push_back(&n);
+  for (auto& kid : n.kids) collect_nodes(kid.second, all);
+}
+
+template <class T>
+T& pick(RngStream& rng, std::vector<T>& v) {
+  return v[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(v.size()) - 1))];
+}
+
+/// A value of another JSON type than `type`.
+JsonNode other_type(RngStream& rng, JsonValue::Type type) {
+  static const char* const kScalars[][2] = {
+      {"null", nullptr}, {"true", "false"}, {"0.5", "-1"}, {"\"x\"", "\"\""}};
+  for (;;) {
+    const auto t = static_cast<JsonValue::Type>(rng.uniform_int(0, 5));
+    if (t == type) continue;
+    JsonNode n;
+    n.type = t;
+    const auto at = static_cast<std::size_t>(t);
+    if (at < 4) {
+      const bool second = kScalars[at][1] != nullptr && rng.bernoulli(0.5);
+      n.scalar = kScalars[at][second ? 1 : 0];
+    } else if (rng.bernoulli(0.5)) {
+      JsonNode one;
+      one.type = JsonValue::Type::kNumber;
+      one.scalar = "1";
+      n.kids.emplace_back(t == JsonValue::Type::kObject ? "src" : "", one);
+    }
+    return n;
+  }
+}
+
+/// The first member of `obj` named `key`, or nullptr.
+JsonNode* member(JsonNode& obj, std::string_view key) {
+  if (obj.type != JsonValue::Type::kObject) return nullptr;
+  for (auto& [name, value] : obj.kids)
+    if (name == key) return &value;
+  return nullptr;
+}
+
+template <class T>
+void erase_at(std::vector<T>& v, std::size_t at) {
+  if (at < v.size()) v.erase(v.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+template <class T>
+void duplicate_at(std::vector<T>& v, std::size_t at) {
+  if (at >= v.size()) return;
+  T copy = v[at];
+  v.insert(v.begin() + static_cast<std::ptrdiff_t>(at), std::move(copy));
+}
+
+/// One structural mutation of `doc`: delete, duplicate or rename a member
+/// or element, change a value's type, wrap a value in an array, make the
+/// LIR table ragged or give it a row too many or too few, or drop or
+/// duplicate a link together with its LIR row and column.
+void mutate_structure(RngStream& rng, JsonNode& doc) {
+  static const char* const kKeys[] = {
+      "version", "links",  "neighbors", "lir_threshold", "lir",   "src",
+      "dst",     "rate",   "retry_limit", "p_data",      "p_ack", "p_link",
+      "capacity_bps"};
+  std::vector<JsonNode*> all;
+  collect_nodes(doc, all);
+  // Containers are picked from the document and its top-level members
+  // half the time, so that links and whole members are often the target.
+  std::vector<JsonNode*> containers;
+  std::vector<JsonNode*> top;
+  std::vector<JsonNode*> objects;
+  for (JsonNode* n : all) {
+    if (n->kids.empty()) continue;
+    containers.push_back(n);
+    if (n->type == JsonValue::Type::kObject) objects.push_back(n);
+  }
+  if (!doc.kids.empty()) top.push_back(&doc);
+  for (auto& kid : doc.kids)
+    if (!kid.second.kids.empty()) top.push_back(&kid.second);
+  auto pick_container = [&]() -> JsonNode* {
+    if (containers.empty()) return nullptr;
+    return pick(rng, !top.empty() && rng.bernoulli(0.5) ? top : containers);
+  };
+  JsonNode* links = member(doc, "links");
+  JsonNode* lir = member(doc, "lir");
+  if (lir != nullptr &&
+      (lir->type != JsonValue::Type::kArray || lir->kids.empty()))
+    lir = nullptr;
+
+  switch (rng.uniform_int(0, 6)) {
+    case 0:  // delete a member or an element
+      if (JsonNode* n = pick_container()) {
+        erase_at(n->kids, static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<int>(n->kids.size()) - 1)));
+      }
+      break;
+    case 1:  // duplicate one, next to the original or anywhere
+      if (JsonNode* n = pick_container()) {
+        auto copy = pick(rng, n->kids);
+        const int at = rng.uniform_int(0, static_cast<int>(n->kids.size()));
+        n->kids.insert(n->kids.begin() + at, std::move(copy));
+      }
+      break;
+    case 2:  // rename a member: to another schema key, or misspelled
+      if (!objects.empty()) {
+        std::string& key = pick(rng, pick(rng, objects)->kids).first;
+        switch (rng.uniform_int(0, 2)) {
+          case 0:
+            key = kKeys[rng.uniform_int(0, 12)];
+            break;
+          case 1:
+            key += "_";
+            break;
+          default:
+            key = key.empty() ? "x" : key.substr(1);
+            break;
+        }
+      }
+      break;
+    case 3: {  // another type in a value's place
+      JsonNode& n = *pick(rng, all);
+      n = other_type(rng, n.type);
+      break;
+    }
+    case 4: {  // wrap a value in an array
+      JsonNode& n = *pick(rng, all);
+      JsonNode wrapped;
+      wrapped.type = JsonValue::Type::kArray;
+      wrapped.kids.emplace_back("", std::move(n));
+      n = std::move(wrapped);
+      break;
+    }
+    case 5:  // a ragged LIR, or one row too many or too few
+      if (lir != nullptr) {
+        auto& kids = rng.bernoulli(0.5) ? lir->kids
+                                        : pick(rng, lir->kids).second.kids;
+        if (kids.empty()) break;
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(kids.size()) - 1));
+        if (rng.bernoulli(0.5))
+          erase_at(kids, at);
+        else
+          duplicate_at(kids, at);
+      }
+      break;
+    default:  // a link dropped or duplicated with its LIR row and column
+      if (links != nullptr && !links->kids.empty()) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(links->kids.size()) - 1));
+        const bool drop = rng.bernoulli(0.5);
+        auto edit = [&](auto& kids) {
+          if (drop)
+            erase_at(kids, at);
+          else
+            duplicate_at(kids, at);
+        };
+        edit(links->kids);
+        if (lir != nullptr) {
+          edit(lir->kids);
+          for (auto& row : lir->kids) edit(row.second.kids);
+        }
+      }
+      break;
+  }
+}
+
+/// End offset of every token of a JSON document (punctuation, strings,
+/// and runs of number or literal characters).
+std::vector<std::size_t> token_ends(std::string_view doc) {
+  std::vector<std::size_t> ends;
+  std::size_t i = 0;
+  while (i < doc.size()) {
+    const char c = doc[i];
+    if (c == '"') {
+      for (++i; i < doc.size() && doc[i] != '"'; ++i)
+        if (doc[i] == '\\') ++i;
+      ++i;
+    } else if (std::string_view("{}[]:,").find(c) != std::string_view::npos) {
+      ++i;
+    } else {
+      while (i < doc.size() &&
+             std::string_view("{}[]:,\"").find(doc[i]) ==
+                 std::string_view::npos)
+        ++i;
+    }
+    ends.push_back(std::min(i, doc.size()));
+  }
+  return ends;
+}
+
+/// from_json's reading of `doc`: the snapshot, or nullopt when it threw
+/// std::invalid_argument. Any other exception fails the test.
+std::optional<MeasurementSnapshot> parse_snapshot(std::string_view doc) {
+  try {
+    return MeasurementSnapshot::from_json(doc);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
+
+TEST(JsonFuzz, StructuralMutationsDecodeOrThrowAndPlanOrThrow) {
+  RngStream rng(107, "json-fuzz-structure");
+  const std::vector<FlowSpec> flows = {
+      {0, {0, 1, 2, 3}, false}, {1, {3, 4, 5}, false}, {2, {6, 7, 8}, false}};
+  PlanConfig tiers[2];
+  tiers[1].tier = PlanTier::kFast;
+  Planner planner;  // shared, so mutated topologies meet in its cache
+  int rejected = 0;
+  int planned = 0;
+  int plan_threw = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::string honest = submit_frame(serve_snapshot(rng), 17);
+    JsonNode doc = to_node(
+        JsonValue::parse(std::string_view(honest).substr(kWireHeaderBytes)));
+    // One mutation in half the documents, so that many still decode.
+    for (int k = rng.bernoulli(0.5) ? 1 : rng.uniform_int(2, 3); k > 0; --k)
+      mutate_structure(rng, doc);
+    std::string text;
+    append_node(text, doc);
+    // Every fourth document is cut off after one of its tokens: a proper
+    // prefix of any document is not a document.
+    const bool cut = iter % 4 == 0;
+    if (cut) {
+      std::vector<std::size_t> ends = token_ends(text);
+      ends.back() = 0;  // the empty prefix, not the whole document
+      text.resize(pick(rng, ends));
+    }
+
+    const std::optional<MeasurementSnapshot> snap = parse_snapshot(text);
+    std::string frame = honest.substr(0, kWireHeaderBytes) + text;
+    set_declared_length(frame, static_cast<std::uint32_t>(text.size()));
+    WireFrame out;
+    std::size_t consumed = 0;
+    const Outcome got = decode(frame, out, &consumed);
+    ASSERT_EQ(got, snap ? Outcome::kDecoded : Outcome::kThrew)
+        << "iter " << iter << ": " << text;
+    if (cut) ASSERT_FALSE(snap) << "iter " << iter << ": " << text;
+    if (!snap) {
+      ++rejected;
+      continue;
+    }
+    ASSERT_EQ(consumed, frame.size());
+    ASSERT_EQ(snapshot_bits(out.snapshot), snapshot_bits(*snap))
+        << "iter " << iter;
+    try {
+      (void)planner.plan(*snap, InterferenceModelKind::kLirTable, flows,
+                         tiers[iter % 2]);
+      ++planned;
+    } catch (const std::invalid_argument&) {
+      ++plan_threw;
+    }
+  }
+  // Each branch of the invariant ran many times.
+  EXPECT_GT(rejected, 2000);
+  EXPECT_GT(planned, 300);
+  EXPECT_GT(plan_threw, 40);
 }
 
 }  // namespace

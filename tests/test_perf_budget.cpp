@@ -1,10 +1,11 @@
 // Work-count budget (ctest -L perf-budget).
 //
 // Pins deterministic work counts — simplex pivots, master solves, pricing
-// rounds, MWIS nodes and Frank–Wolfe iterations — on fixed seeds. Wall
-// times on a shared host swing between runs of the same binary; these
-// counts do not, so a change that makes the optimizer do more work fails
-// here deterministically. The pinned values were recorded with the dense
+// rounds, MWIS nodes, Frank–Wolfe iterations and the simulator events of a
+// probing window — on fixed seeds. Wall times on a shared host swing
+// between runs of the same binary; these counts do not, so a change that
+// makes the optimizer or the event core do more work fails here
+// deterministically. The pinned values were recorded with the dense
 // pivot kernel; the sparse elimination reproduces every pivot, so it must
 // match them exactly (cheaper pivots, not fewer). Nor do they depend on
 // the library's vector width: the serve-shaped pins hold for the default
@@ -32,6 +33,7 @@
 #include "opt/decompose.h"
 #include "opt/network_optimizer.h"
 #include "probe/live_source.h"
+#include "scenario/dynamics.h"
 #include "scenario/topologies.h"
 #include "serve/wire.h"
 #include "util/rng.h"
@@ -354,6 +356,18 @@ TEST(PerfBudget, WarmJsonSubmitDecodeAllocations) {
   EXPECT_LE(heap_allocations() - before, 30u);
 }
 
+/// The gateway chain's two UDP flows: 0 -> 1 -> 2 and 3 -> 2.
+void manage_gateway_flows(Workbench& wb, MeshController& ctl) {
+  ManagedFlow far;
+  far.flow_id = wb.net().open_flow(0, 2, Protocol::kUdp, 1470);
+  far.path = {0, 1, 2};
+  ctl.manage_flow(far);
+  ManagedFlow near;
+  near.flow_id = wb.net().open_flow(3, 2, Protocol::kUdp, 1470);
+  near.path = {3, 2};
+  ctl.manage_flow(near);
+}
+
 /// A live control loop holds a bounded heap: once warm, the rounds from
 /// N to 2N leave the live bytes where they were. Every monitor records
 /// every probe stream it overhears, read by a link or not, and a stream
@@ -366,14 +380,7 @@ TEST(PerfBudget, LiveLoopHeapStaysFlat) {
   Workbench wb(5);
   build_gateway_chain(wb);
   MeshController ctl(wb.net(), cfg, 5);
-  ManagedFlow far;
-  far.flow_id = wb.net().open_flow(0, 2, Protocol::kUdp, 1470);
-  far.path = {0, 1, 2};
-  ctl.manage_flow(far);
-  ManagedFlow near;
-  near.flow_id = wb.net().open_flow(3, 2, Protocol::kUdp, 1470);
-  near.path = {3, 2};
-  ctl.manage_flow(near);
+  manage_gateway_flows(wb, ctl);
   LiveSource live(wb, ctl);
 
   constexpr int kRounds = 200;
@@ -381,6 +388,62 @@ TEST(PerfBudget, LiveLoopHeapStaysFlat) {
   const std::int64_t at_n = live_heap_bytes();
   for (int r = 0; r < kRounds; ++r) ASSERT_TRUE(ctl.guarded_round(live).ok);
   EXPECT_LE(live_heap_bytes() - at_n, 1024) << "from " << at_n << " bytes";
+}
+
+/// Simulator events each controller round executes on the gateway chain
+/// (seed 71, a 60-probe window at 0.25 s, proportional fairness): the
+/// event core's work count for one probing window. With `dynamics`, a
+/// passive interferer at the receiver duty-cycles on a Markov script and
+/// the chain's first hop drifts in loss, both scripted past the last round.
+std::vector<std::uint64_t> gateway_events_per_round(bool dynamics,
+                                                    int rounds) {
+  constexpr std::uint64_t kSeed = 71;
+  ControllerConfig cfg;
+  cfg.probe_period_s = 0.25;
+  cfg.probe_window = 60;
+  cfg.optimizer.objective = Objective::kProportionalFair;
+  Workbench wb(kSeed);
+  build_gateway_chain(wb);
+  NodeId jam = -1;
+  if (dynamics) {
+    jam = wb.channel().add_node(nullptr);
+    wb.channel().set_rss_dbm(jam, 2, -62.0);
+  }
+  MeshController ctl(wb.net(), cfg, kSeed);
+  manage_gateway_flows(wb, ctl);
+
+  const double window_s = ctl.probing_window_seconds();
+  DynamicsScript script;
+  if (dynamics) {
+    script.merge(markov_interferer(jam, 2.0 * window_s, 2.0 * window_s,
+                                   4.0 * rounds * window_s,
+                                   RngStream(kSeed, "jam")));
+    script.merge(random_walk_loss_drift(0, 1, Rate::kR1Mbps, 0.02, 0.01,
+                                        window_s, 4.0 * rounds * window_s,
+                                        RngStream(kSeed, "drift")));
+  }
+  DynamicsEngine engine(wb, std::move(script));
+  engine.arm();
+
+  std::vector<std::uint64_t> events;
+  for (int r = 0; r < rounds; ++r) {
+    const std::uint64_t before = wb.sim().executed_events();
+    EXPECT_TRUE(ctl.run_round(wb).ok) << "round " << r;
+    events.push_back(wb.sim().executed_events() - before);
+  }
+  return events;
+}
+
+TEST(PerfBudget, GatewayRoundEvents) {
+  EXPECT_EQ(gateway_events_per_round(false, 4),
+            (std::vector<std::uint64_t>{1914u, 1910u, 1920u, 1920u}));
+}
+
+/// The interferer's frames first show in round 3; before that the drift
+/// steps add an event or two a round.
+TEST(PerfBudget, GatewayRoundEventsUnderDynamics) {
+  EXPECT_EQ(gateway_events_per_round(true, 4),
+            (std::vector<std::uint64_t>{1916u, 1911u, 10071u, 8478u}));
 }
 
 }  // namespace

@@ -322,6 +322,66 @@ TEST(ServeGuard, MatchesGuardedReplay) {
   }
 }
 
+/// A guarded LIR-table tenant whose flowless last link is poisoned: the
+/// repair tier drops the link and re-indexes the LIR table with it, so
+/// the round plans on the surviving links. Serve-shaped topologies: 9-12
+/// chain links, about 40% of the LIR pairs conflicting.
+TEST(ServeGuard, DroppedLinkInLirTenantStillPlans) {
+  const std::vector<FlowSpec> flows = {
+      {0, {0, 1, 2, 3}, false}, {1, {3, 4, 5}, false}, {2, {6, 7, 8}, false}};
+  const PlanValidator plan_check;
+  for (const PlanTier tier : {PlanTier::kExact, PlanTier::kFast}) {
+    TenantConfig cfg;
+    cfg.flows = flows;
+    cfg.plan.tier = tier;
+    cfg.interference = InterferenceModelKind::kLirTable;
+    cfg.guarded = true;
+    PlanService svc;
+    const std::uint32_t t = svc.add_tenant(cfg);
+    long long tick = 0;
+    for (std::uint64_t v = 0; v < 16; ++v) {
+      RngStream rng(RngStream::mix(29, v), "serve-guard-dropped-link");
+      const int links = 9 + static_cast<int>(v % 4);
+      MeasurementSnapshot clean;
+      for (int i = 0; i < links; ++i) {
+        SnapshotLink l;
+        l.src = i;
+        l.dst = i + 1;
+        l.rate = Rate::kR11Mbps;
+        l.estimate.capacity_bps = rng.uniform(1.5e6, 5e6);
+        l.estimate.p_link = 0.02;
+        clean.links.push_back(l);
+      }
+      clean.lir.resize(links, links, 1.0);
+      for (int i = 0; i < links; ++i)
+        for (int j = i + 1; j < links; ++j)
+          if (rng.bernoulli(0.4)) clean.lir(i, j) = clean.lir(j, i) = 0.4;
+      clean.lir_threshold = 0.95;
+
+      for (const bool nan_loss : {true, false}) {
+        MeasurementSnapshot poisoned = clean;
+        LinkCapacityEstimate& e = poisoned.links.back().estimate;
+        if (nan_loss)
+          e.p_data = std::numeric_limits<double>::quiet_NaN();
+        else
+          e.capacity_bps = 0.0;
+        svc.submit(t, poisoned, tick);
+        const ServeBatchReport batch = svc.run_batch(tick++);
+        ASSERT_EQ(batch.served.size(), 1u);
+        const ServedPlan& served = batch.served[0];
+        const std::string where = "topology " + std::to_string(v) +
+                                  (nan_loss ? " NaN loss" : " zero capacity");
+        EXPECT_EQ(served.verdict, SnapshotVerdict::kRepaired) << where;
+        EXPECT_TRUE(served.plan.ok) << where << ": " << served.error;
+        EXPECT_TRUE(plan_check.validate(served.plan, clean, flows).ok)
+            << where;
+      }
+    }
+    EXPECT_EQ(svc.metrics().tenant(t).snapshots_repaired, 32u);
+    EXPECT_EQ(svc.metrics().tenant(t).plans_failed, 0u);
+  }
+}
+
 /// Constant-topology rounds after the first hit the tenant's planner
 /// cache, and the cache metering shows it.
 TEST(ServeGuard, PlannerCacheMeteredPerTenant) {
