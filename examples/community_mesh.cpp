@@ -72,11 +72,13 @@ int main() {
     capacities.push_back(wb.measure_backlogged({l}, 4.0)[0]);
 
   OptimizerInput in;
-  in.extreme_points = build_extreme_point_matrix(
-      capacities, build_two_hop_conflict_graph(
-                      links, [&](NodeId a, NodeId b) {
-                        return tb.neighbors(a, b);
-                      }));
+  fill_extreme_point_matrix(
+      capacities,
+      build_two_hop_conflict_graph(
+          links,
+          [&](NodeId a, NodeId b) { return tb.neighbors(a, b); })
+          .independent_set_rows(),
+      in.extreme_points);
   in.routing = DenseMatrix(static_cast<int>(links.size()),
                            static_cast<int>(paths.size()));
   for (std::size_t s = 0; s < paths.size(); ++s)

@@ -6,8 +6,8 @@
 //              MeasurementSnapshot (value type, JSON-serializable),
 //   validate — SnapshotValidator (core/guard.h): range, NaN and coverage
 //              checks with a clamp-or-drop repair tier,
-//   model    — InterferenceModel::build(snapshot, kind): conflict graph +
-//              extreme points (Eq. 4),
+//   model    — InterferenceModel::build(snapshot, kind): conflict graph,
+//              MIS rows and extreme points (Eq. 4),
 //   plan     — plan_rates(snapshot, model, flows, cfg): pure optimization
 //              to a RatePlan (target y_s, input x_s, shaper programs),
 //              checked by the PlanValidator guardrail,

@@ -2,53 +2,45 @@
 
 #include <stdexcept>
 
+#include "model/feasibility.h"
+
 namespace meshopt {
+
+namespace {
+/// The kind a build of `kind` over `snap` actually runs.
+InterferenceModelKind effective_kind(const MeasurementSnapshot& snap,
+                                     InterferenceModelKind kind) {
+  return kind == InterferenceModelKind::kLirTable && !snap.lir.empty()
+             ? InterferenceModelKind::kLirTable
+             : InterferenceModelKind::kTwoHop;
+}
+}  // namespace
+
+ConflictGraph build_conflict_graph(const MeasurementSnapshot& snap,
+                                   InterferenceModelKind kind) {
+  if (effective_kind(snap, kind) == InterferenceModelKind::kLirTable)
+    return build_lir_conflict_graph(snap.lir, snap.lir_threshold);
+  return build_two_hop_conflict_graph(
+      snap.link_refs(),
+      [&snap](NodeId a, NodeId b) { return snap.is_neighbor(a, b); });
+}
 
 InterferenceModel InterferenceModel::build(const MeasurementSnapshot& snap,
                                            InterferenceModelKind kind,
                                            std::size_t mis_cap) {
-  return from_topology(build_topology(snap, kind, mis_cap),
-                       snap.capacities());
+  InterferenceModel m(effective_kind(snap, kind),
+                      build_conflict_graph(snap, kind));
+  m.mis_rows_ = m.conflicts_.independent_set_rows(mis_cap);
+  fill_extreme_point_matrix(snap.capacities(), m.mis_rows_,
+                            m.extreme_points_);
+  return m;
 }
 
-InterferenceTopology InterferenceModel::build_topology(
-    const MeasurementSnapshot& snap, InterferenceModelKind kind,
-    std::size_t mis_cap) {
-  const bool use_lir =
-      kind == InterferenceModelKind::kLirTable && !snap.lir.empty();
-  InterferenceTopology topo;
-  topo.kind = use_lir ? InterferenceModelKind::kLirTable
-                      : InterferenceModelKind::kTwoHop;
-  topo.conflicts =
-      use_lir ? build_lir_conflict_graph(snap.lir, snap.lir_threshold)
-              : build_two_hop_conflict_graph(
-                    snap.link_refs(), [&snap](NodeId a, NodeId b) {
-                      return snap.is_neighbor(a, b);
-                    });
-  topo.mis_rows = topo.conflicts.independent_set_rows(mis_cap);
-  return topo;
-}
-
-InterferenceModel InterferenceModel::from_topology(
-    const InterferenceTopology& topo, const std::vector<double>& capacities) {
-  if (static_cast<int>(capacities.size()) != topo.conflicts.size())
+void InterferenceModel::refill(const std::vector<double>& capacities) {
+  if (static_cast<int>(capacities.size()) != num_links())
     throw std::invalid_argument(
-        "InterferenceModel: capacity arity != topology link count");
-  DenseMatrix extreme_points;
-  fill_extreme_point_matrix(capacities, topo.mis_rows, extreme_points);
-  return InterferenceModel(topo.kind, topo.conflicts,
-                           std::move(extreme_points));
-}
-
-InterferenceModel InterferenceModel::from_topology(
-    InterferenceTopology&& topo, const std::vector<double>& capacities) {
-  if (static_cast<int>(capacities.size()) != topo.conflicts.size())
-    throw std::invalid_argument(
-        "InterferenceModel: capacity arity != topology link count");
-  DenseMatrix extreme_points;
-  fill_extreme_point_matrix(capacities, topo.mis_rows, extreme_points);
-  return InterferenceModel(topo.kind, std::move(topo.conflicts),
-                           std::move(extreme_points));
+        "InterferenceModel: capacity arity != model link count");
+  detail::scatter_member_capacities(capacities, mis_rows_, extreme_points_);
 }
 
 }  // namespace meshopt

@@ -52,17 +52,12 @@ const InterferenceModel& Planner::model(const MeasurementSnapshot& snap,
       e.last_used = clock_;
       ++stats_.hits;
       last_entry_ = &e;
-      // The topology fixes the nonzero positions, so the round's
-      // capacities overwrite exactly the member cells of the entry's
-      // matrix — bit-identical to a full refill, nnz writes instead of
-      // K x L.
-      refresh_extreme_point_matrix(caps_scratch_, e.topology.mis_rows,
-                                   e.model->extreme_points_);
+      e.model.refill(caps_scratch_);
       if (obs_ != nullptr) {
         obs_->emit(ObsStage::kCache, ObsKind::kEvent, ObsCode::kCacheHit,
-                   e.fingerprint, e.topology.mis_rows.count());
+                   e.fingerprint, e.model.mis_rows().count());
       }
-      return *e.model;
+      return e.model;
     }
   }
 
@@ -79,19 +74,12 @@ const InterferenceModel& Planner::model(const MeasurementSnapshot& snap,
                fp, snap.links.size());
   }
   ObsSpan model_span(obs_, ObsStage::kModel);
-  InterferenceTopology topo =
-      InterferenceModel::build_topology(snap, kind, mis_cap);
-  model_span.payload(fp, topo.mis_rows.count());
+  InterferenceModel built = InterferenceModel::build(snap, kind, mis_cap);
+  model_span.payload(fp, built.mis_rows().count());
   if (capacity_ == 0 || !cacheable) {
-    // Nothing is stored: move the whole topology into the model.
-    uncached_.emplace(
-        InterferenceModel::from_topology(std::move(topo), caps_scratch_));
+    uncached_.emplace(std::move(built));
     return *uncached_;
   }
-  // The entry keeps the topology for future refreshes, so the model gets
-  // a copy of the conflict graph (a one-time cost per topology epoch).
-  InterferenceModel built =
-      InterferenceModel::from_topology(topo, caps_scratch_);
   if (entries_.size() >= capacity_) {
     auto victim = std::min_element(entries_.begin(), entries_.end(),
                                    [](const Entry& a, const Entry& b) {
@@ -104,20 +92,20 @@ const InterferenceModel& Planner::model(const MeasurementSnapshot& snap,
     entries_.erase(victim);
     ++stats_.evictions;
   }
-  Entry e;
-  e.fingerprint = fp;
-  e.requested_kind = kind;
-  e.mis_cap = mis_cap;
-  e.links = snap.link_refs();
-  e.neighbors = snap.neighbors;
-  e.lir = snap.lir;
-  e.lir_threshold_bits = std::bit_cast<std::uint64_t>(snap.lir_threshold);
-  e.topology = std::move(topo);
-  e.model.emplace(std::move(built));
-  e.last_used = clock_;
-  entries_.push_back(std::move(e));
+  entries_.push_back(Entry{
+      .fingerprint = fp,
+      .requested_kind = kind,
+      .mis_cap = mis_cap,
+      .links = snap.link_refs(),
+      .neighbors = snap.neighbors,
+      .lir = snap.lir,
+      .lir_threshold_bits = std::bit_cast<std::uint64_t>(snap.lir_threshold),
+      .model = std::move(built),
+      .column_gen = nullptr,
+      .last_used = clock_,
+  });
   last_entry_ = &entries_.back();
-  return *entries_.back().model;
+  return entries_.back().model;
 }
 
 RatePlan Planner::plan(const MeasurementSnapshot& snap,

@@ -6,21 +6,22 @@
 // set enumeration (Bron–Kerbosch, ~1 ms at MIS/80 scale) — depends only on
 // the snapshot's TOPOLOGY: link identities, the neighbor relation, and the
 // LIR table + threshold. Capacity estimates, which drift every round, only
-// feed the extreme-point matrix refill. The planner splits the build along
-// that line (InterferenceModel::build_topology / from_topology) and caches
-// the topology stage in a small LRU keyed by those inputs, so
+// feed the extreme-point matrix. The planner caches whole models in a
+// small LRU keyed by those inputs and refills a hit's matrix in place
+// (InterferenceModel::refill), so
 //
 //   * a constant-topology trace replay pays Bron–Kerbosch once, then every
 //     further round is a matrix refill + plan (the ≥5x replay win at
-//     MIS/80-class topologies, BM_ReplayCachedModel),
+//     MIS/80-class topologies, CHANGES.md PR 5; perfbench reports it as
+//     model.cache_*),
 //   * a dynamic scenario (scenario/dynamics.h) pays a rebuild only at the
 //     rounds where a join/leave/RSS event actually changed the topology,
 //     and interferer/loss churn — which moves capacities, not the
 //     conflict graph — stays on the cached rows.
 //
 // Correctness contract: a cache hit requires a full structural comparison
-// of the topology inputs, the LIR by value and bit for bit, and the
-// two-stage build is the one-shot build by construction, so plans computed
+// of the topology inputs, the LIR by value and bit for bit, and a refill
+// is a fresh build's fill by construction, so plans computed
 // through the planner are bit-identical to the uncached
 // InterferenceModel::build + plan_rates path (pinned in
 // tests/test_planner.cpp for live and replay paths).
@@ -80,9 +81,9 @@ class Planner {
   /// reference stays valid until the next model()/plan()/clear() call.
   /// Output is bit-identical to InterferenceModel::build(snap, kind,
   /// mis_cap) whether it hit or missed. A hit skips Bron–Kerbosch AND the
-  /// full matrix refill: since a topology fixes the extreme-point
-  /// matrix's nonzero positions, only the member cells are overwritten
-  /// with the round's capacities (refresh_extreme_point_matrix).
+  /// full matrix fill: since a topology fixes the extreme-point matrix's
+  /// nonzero positions, only the member cells are overwritten with the
+  /// round's capacities (InterferenceModel::refill).
   ///
   /// `cacheable = false` keeps the LRU read-only for this call: a miss
   /// builds the model without storing the topology. The guarded
@@ -169,9 +170,8 @@ class Planner {
   [[nodiscard]] TraceRecorder* observer() const { return obs_; }
 
  private:
-  /// One cached topology stage plus the exact inputs it was built from
-  /// (the key a hit compares) and the entry-owned model whose matrix hits
-  /// refresh in place.
+  /// One cached model plus the exact inputs it was built from (the key a
+  /// hit compares); hits refill its matrix in place.
   struct Entry {
     std::uint64_t fingerprint = 0;  ///< of the inputs, for trace records
     InterferenceModelKind requested_kind = InterferenceModelKind::kTwoHop;
@@ -180,8 +180,7 @@ class Planner {
     std::vector<std::pair<NodeId, NodeId>> neighbors;
     DenseMatrix lir;
     std::uint64_t lir_threshold_bits = 0;
-    InterferenceTopology topology;
-    std::optional<InterferenceModel> model;
+    InterferenceModel model;
     /// Fast-tier warm state (working columns + carried basis), created on
     /// the first kFast plan through this entry. Entry-owned so it can
     /// never outlive — or be replayed against — a different topology.

@@ -94,11 +94,6 @@ MeasurementSnapshot MeasurementSnapshot::restrict_to(
   return sub;
 }
 
-std::uint64_t MeasurementSnapshot::component_fingerprint(
-    const std::vector<int>& link_ids) const {
-  return restrict_to(link_ids).topology_fingerprint();
-}
-
 std::vector<double> MeasurementSnapshot::capacities() const {
   std::vector<double> caps;
   caps.reserve(links.size());
@@ -174,6 +169,17 @@ MeasurementSnapshot MeasurementSnapshot::from_json(std::string_view text) {
   return from_value(JsonValue::parse(text));
 }
 
+void set_decoded_link_config(SnapshotLink& link, std::int64_t rate_code,
+                             std::int64_t retry_limit) {
+  if (rate_code != static_cast<std::int64_t>(Rate::kR1Mbps) &&
+      rate_code != static_cast<std::int64_t>(Rate::kR11Mbps))
+    throw std::invalid_argument("snapshot: link rate names no Rate");
+  if (retry_limit < 0)
+    throw std::invalid_argument("snapshot: negative link retry limit");
+  link.rate = static_cast<Rate>(rate_code);
+  link.retry_limit = static_cast<int>(retry_limit);
+}
+
 MeasurementSnapshot MeasurementSnapshot::from_value(const JsonValue& doc) {
   if (doc.at("version").as_int() != 1)
     throw std::invalid_argument("snapshot: unsupported schema version");
@@ -185,8 +191,8 @@ MeasurementSnapshot MeasurementSnapshot::from_value(const JsonValue& doc) {
     SnapshotLink l;
     l.src = jl.at("src").as_int();
     l.dst = jl.at("dst").as_int();
-    l.rate = static_cast<Rate>(jl.at("rate").as_int());
-    l.retry_limit = jl.at("retry_limit").as_int();
+    set_decoded_link_config(l, jl.at("rate").as_int(),
+                            jl.at("retry_limit").as_int());
     l.estimate.p_data = jl.at("p_data").as_number();
     l.estimate.p_ack = jl.at("p_ack").as_number();
     l.estimate.p_link = jl.at("p_link").as_number();

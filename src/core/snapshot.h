@@ -38,6 +38,13 @@ struct SnapshotLink {
   friend bool operator==(const SnapshotLink&, const SnapshotLink&) = default;
 };
 
+/// Set `link`'s rate and retry limit from decoded wire integers, checked
+/// before the cast — shared by the JSON decoder and the MOTRACE1 codec.
+/// @throws std::invalid_argument when `rate_code` names no Rate enumerator
+/// or `retry_limit` is negative.
+void set_decoded_link_config(SnapshotLink& link, std::int64_t rate_code,
+                             std::int64_t retry_limit);
+
 /// Value-type measurement record of one estimation window.
 ///
 /// Invariants: `neighbors` holds unordered node pairs with first < second,
@@ -82,13 +89,6 @@ struct MeasurementSnapshot {
   /// the restriction (see opt/decompose.h). @throws std::out_of_range on
   /// an invalid link index.
   [[nodiscard]] MeasurementSnapshot restrict_to(
-      const std::vector<int>& link_ids) const;
-
-  /// topology_fingerprint() of restrict_to(link_ids) — the per-component
-  /// cache sub-key: churn inside one component changes only that
-  /// component's fingerprint, so other components' planner cache entries
-  /// stay hot.
-  [[nodiscard]] std::uint64_t component_fingerprint(
       const std::vector<int>& link_ids) const;
 
   /// Per-link capacity estimates (bits/s), in `links` order.

@@ -48,10 +48,9 @@ namespace {
 /// no vector copies, no allocation.
 ///
 /// The enumerator streams each maximal set to a sink as a packed bitset
-/// row (r_bits_), maintained incrementally on recursion push/pop. Sinks
-/// that want vertex indices (the legacy nested-vector API) decode the
-/// row themselves; sinks that want bits (the extreme-point bridge) copy
-/// or consume the words directly.
+/// row (r_bits_), maintained incrementally on recursion push/pop. The
+/// sorted-set API decodes the row into vertex indices; the row API copies
+/// the words.
 class BitsetBronKerbosch {
  public:
   BitsetBronKerbosch(const ConflictGraph& g, std::size_t cap)
@@ -80,11 +79,7 @@ class BitsetBronKerbosch {
 
   /// Enumerate, calling `emit(bits)` with the packed membership row of
   /// each maximal independent set. The pointer is valid only during the
-  /// call. Templated so the in-file sorted-set decode pays no per-set
-  /// indirect call; external consumers go through the type-erased
-  /// for_each_independent_set_row, whose one indirect call per set is
-  /// noise next to the per-set work every consumer does anyway (e.g. the
-  /// extreme-point bridge writes an L-double row per set).
+  /// call.
   template <typename Emit>
   void run(Emit&& emit) {
     if (n_ == 0) return;
@@ -202,18 +197,11 @@ std::vector<std::vector<int>> ConflictGraph::maximal_independent_sets(
   return sets;
 }
 
-void ConflictGraph::for_each_independent_set_row(
-    const std::function<void(const std::uint64_t*)>& emit,
-    std::size_t cap) const {
-  if (n_ == 0) return;
-  BitsetBronKerbosch bk(*this, cap);
-  bk.run([&emit](const std::uint64_t* bits) { emit(bits); });
-}
-
 MisRowSet ConflictGraph::independent_set_rows(std::size_t cap) const {
   MisRowSet rows(n_);
-  for_each_independent_set_row(
-      [&rows](const std::uint64_t* bits) { rows.append(bits); }, cap);
+  if (n_ == 0) return rows;
+  BitsetBronKerbosch bk(*this, cap);
+  bk.run([&rows](const std::uint64_t* bits) { rows.append(bits); });
   return rows;
 }
 

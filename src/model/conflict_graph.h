@@ -24,8 +24,9 @@ namespace meshopt {
 /// order: row k occupies words [k*row_words(), (k+1)*row_words()), bit j
 /// of word j/64 set iff link j belongs to set k. This is the cacheable
 /// product of one enumeration — the topology-dependent half of the
-/// extreme-point build (see core/planner.h): capacities can be re-applied
-/// to the same rows round after round without re-running Bron–Kerbosch.
+/// extreme-point build: capacities can be re-applied to the same rows
+/// round after round without re-running Bron–Kerbosch
+/// (InterferenceModel::refill, core/interference.h).
 class MisRowSet {
  public:
   MisRowSet() = default;
@@ -92,32 +93,15 @@ class ConflictGraph {
   /// enumerated with Bron–Kerbosch + pivoting over bitset intersections.
   /// `cap` bounds the output as a safety valve; testbed-scale graphs stay
   /// far below it. Output is canonical: each set sorted ascending, sets
-  /// in lexicographic order.
-  ///
-  /// DEPRECATED for hot paths: materializes one heap vector per set. Use
-  /// for_each_independent_set_row() (packed bitset rows, zero
-  /// intermediates) for anything downstream of the enumeration — e.g. the
-  /// extreme-point matrix build. Kept for tests and casual callers; see
-  /// ARCHITECTURE.md ("MIS output migration") for the mapping.
+  /// in lexicographic order. The reference enumeration tests compare
+  /// against; nothing on the plan path calls it.
   [[nodiscard]] std::vector<std::vector<int>> maximal_independent_sets(
       std::size_t cap = 200000) const;
 
-  /// Bitset-row consumer API: invoke `emit` once per maximal independent
-  /// set with a packed row of row_words() uint64 words (bit j of word
-  /// j/64 set iff link j is in the set). The pointer is only valid during
-  /// the call — copy the words out if they must outlive it.
-  ///
-  /// Sets arrive in Bron–Kerbosch enumeration order, which is
-  /// deterministic for a given graph but differs from the sorted order of
-  /// maximal_independent_sets(). `cap` bounds the number of emitted sets.
-  void for_each_independent_set_row(
-      const std::function<void(const std::uint64_t* bits)>& emit,
-      std::size_t cap = 200000) const;
-
-  /// Materialize the enumeration into a MisRowSet (rows copied in
-  /// enumeration order). This is what the planner caches so constant-
-  /// topology rounds skip Bron–Kerbosch entirely; one-shot consumers keep
-  /// streaming through for_each_independent_set_row / the matrix bridge.
+  /// The same enumeration as packed rows (see MisRowSet), in Bron–Kerbosch
+  /// enumeration order — deterministic for a given graph, but not the
+  /// sorted order of maximal_independent_sets(). `cap` bounds the number
+  /// of rows. This is the model stage's MIS output (core/interference.h).
   [[nodiscard]] MisRowSet independent_set_rows(std::size_t cap = 200000) const;
 
   /// Connected components via bitset BFS over the packed adjacency rows:

@@ -9,52 +9,21 @@
 
 namespace meshopt {
 
-DenseMatrix build_extreme_point_matrix(const std::vector<double>& capacities,
-                                       const ConflictGraph& conflicts,
-                                       std::size_t cap) {
-  const int l = static_cast<int>(capacities.size());
-  if (conflicts.size() != l)
-    throw std::invalid_argument(
-        "extreme points: conflict graph size != link count");
-  DenseMatrix points;
-  points.set_cols(l);
-  const int words = conflicts.row_words();
-  const double* caps = capacities.data();
-  conflicts.for_each_independent_set_row(
-      [&points, caps, words](const std::uint64_t* bits) {
-        double* row = points.append_row();
-        for (int w = 0; w < words; ++w) {
-          std::uint64_t word = bits[w];
-          while (word != 0) {
-            const int link = w * 64 + std::countr_zero(word);
-            word &= word - 1;
-            row[link] = caps[link];
-          }
-        }
-      },
-      cap);
-  return points;
-}
-
 void fill_extreme_point_matrix(const std::vector<double>& capacities,
                                const MisRowSet& rows, DenseMatrix& out) {
   const int l = static_cast<int>(capacities.size());
   if (rows.num_links() != l)
     throw std::invalid_argument(
         "extreme points: MIS row width != link count");
-  // Zero everything, then scatter via the refresh path — sharing the one
-  // scatter loop makes "refresh is bit-identical to a full refill" true
-  // by construction.
+  // Zero everything, then scatter: InterferenceModel::refill runs the same
+  // scatter, so a refill is bit-identical to a fill by construction.
   out.resize(rows.count(), l, 0.0);
-  refresh_extreme_point_matrix(capacities, rows, out);
+  detail::scatter_member_capacities(capacities, rows, out);
 }
 
-void refresh_extreme_point_matrix(const std::vector<double>& capacities,
-                                  const MisRowSet& rows, DenseMatrix& out) {
-  const int l = static_cast<int>(capacities.size());
-  if (rows.num_links() != l || out.rows() != rows.count() || out.cols() != l)
-    throw std::invalid_argument(
-        "extreme points: refresh shape mismatch with MIS rows");
+void detail::scatter_member_capacities(const std::vector<double>& capacities,
+                                       const MisRowSet& rows,
+                                       DenseMatrix& out) {
   const int words = rows.row_words();
   const double* caps = capacities.data();
   for (int k = 0; k < rows.count(); ++k) {

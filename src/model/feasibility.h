@@ -7,7 +7,6 @@
 // are per-link capacities; secondary points come from maximal independent
 // sets via Eq. (4).
 
-#include <cstddef>
 #include <vector>
 
 #include "model/conflict_graph.h"
@@ -15,35 +14,23 @@
 
 namespace meshopt {
 
-/// Eq. (4) on the fast path: map each maximal independent set m to a row
-/// of a K x L DenseMatrix holding each member link's capacity (bits/s)
-/// and zero elsewhere. Streams the ConflictGraph's packed bitset rows
-/// straight into the matrix — no vector<vector<int>> intermediate — so
-/// the enumeration's output cost is one row write per set. Row order is
-/// the enumeration order of for_each_independent_set_row().
-[[nodiscard]] DenseMatrix build_extreme_point_matrix(
-    const std::vector<double>& capacities, const ConflictGraph& conflicts,
-    std::size_t cap = 200000);
-
-/// Eq. (4) capacity stage on pre-enumerated rows: refill `out` (resized to
-/// rows.count() x capacities.size(); same-shape refills reuse capacity)
-/// with each member link's capacity. Row order is the rows' enumeration
-/// order, so the result is bit-identical to build_extreme_point_matrix
-/// over the graph the rows were enumerated from with the same cap — the
-/// contract the planner's topology-keyed cache relies on.
+/// Eq. (4): refill `out` (resized to rows.count() x capacities.size();
+/// same-shape refills reuse capacity) as the K x L extreme-point matrix of
+/// the maximal independent sets `rows` — row k holds each member link's
+/// capacity (bits/s) and zero elsewhere, in the rows' enumeration order.
+/// @throws std::invalid_argument when rows.num_links() != capacities.size().
 void fill_extreme_point_matrix(const std::vector<double>& capacities,
                                const MisRowSet& rows, DenseMatrix& out);
 
-/// In-place capacity refresh of a matrix previously produced by
-/// fill_extreme_point_matrix (or build_extreme_point_matrix) over the SAME
-/// rows: overwrites each member cell with its link's fresh capacity and
-/// touches nothing else. Because a topology fixes the nonzero positions,
-/// skipping the zero cells is bit-identical to a full refill while writing
-/// only nnz cells instead of K x L — the planner's hot path on a cache
-/// hit. @pre out is rows.count() x capacities.size() and was filled from
-/// `rows`.
-void refresh_extreme_point_matrix(const std::vector<double>& capacities,
-                                  const MisRowSet& rows, DenseMatrix& out);
+namespace detail {
+/// The member-cell scatter behind fill_extreme_point_matrix: writes each
+/// member link's capacity into its cell of `out` and touches nothing else.
+/// InterferenceModel::refill runs it over the model's own rows and matrix,
+/// which is what makes a refill bit-identical to a fill; other callers use
+/// fill_extreme_point_matrix. @pre out is rows.count() x capacities.size().
+void scatter_member_capacities(const std::vector<double>& capacities,
+                               const MisRowSet& rows, DenseMatrix& out);
+}  // namespace detail
 
 /// Convex polytope spanned by extreme points, with downward closure.
 class FeasibilityRegion {

@@ -122,9 +122,9 @@ struct ObsRecord {
 /// wall_dur_ns are excluded — they are outside the contract).
 [[nodiscard]] bool deterministic_equal(const ObsRecord& x, const ObsRecord& y);
 
-/// Recorder tuning. The defaults are the "default sampling" the benchmark
-/// acceptance bar (<=1.03x on BM_ControllerRound / BM_ServeBatch) is
-/// measured at.
+/// Recorder tuning. The defaults are the "default sampling" the tracing
+/// overhead bar (<=1.03x a round, CHANGES.md PR 10) is measured at;
+/// perfbench reports it as trace.overhead.
 struct ObsConfig {
   std::size_t ring_capacity = 1 << 14;  ///< records retained; oldest overwritten
   std::uint64_t sample_every = 1;  ///< record spans every Nth round (events always)

@@ -109,15 +109,8 @@ RatePlan DecomposedPlanner::plan(const MeasurementSnapshot& snap,
   // Partition along the same conflict graph the per-component models will
   // build (including the LIR -> two-hop fallback for LIR-less snapshots),
   // so component membership and model structure can never disagree.
-  const bool lir_model =
-      kind == InterferenceModelKind::kLirTable && !snap.lir.empty();
-  const ConflictGraph graph =
-      lir_model ? build_lir_conflict_graph(snap.lir, snap.lir_threshold)
-                : build_two_hop_conflict_graph(
-                      snap.link_refs(), [&snap](NodeId a, NodeId b) {
-                        return snap.is_neighbor(a, b);
-                      });
-  ComponentPartition part = graph.connected_components();
+  ComponentPartition part =
+      build_conflict_graph(snap, kind).connected_components();
   if (part.count() < kMinComponents)
     return fallback_plan(snap, kind, flows, cfg, mis_cap, cacheable,
                          &DecomposeStats::fallback_connected);

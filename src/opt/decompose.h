@@ -15,10 +15,10 @@
 // This planner splits the round along that structure:
 //   1. partition the snapshot's links into interference components
 //      (ConflictGraph::connected_components), cached with per-component
-//      Planner instances keyed by component sub-fingerprints
-//      (MeasurementSnapshot::component_fingerprint) — churn in one gateway
-//      cluster never invalidates another cluster's warm model or
-//      column-generation state;
+//      Planner instances, each keyed by its component's sub-snapshot
+//      (MeasurementSnapshot::restrict_to) — churn in one gateway cluster
+//      never invalidates another cluster's warm model or column-generation
+//      state;
 //   2. plan each component against its own sub-snapshot, with every
 //      per-component solve normalized by the GLOBAL capacity scale
 //      (OptimizerInput/ColumnGenInput::scale_override) so scaled iterates

@@ -52,8 +52,8 @@ struct OptimizerInput {
   /// L x S routing matrix: routing(l, s) = 1 if flow s crosses link l.
   DenseMatrix routing;
   /// K x L extreme points of the feasible rate region, in bits/s. Build
-  /// with build_extreme_point_matrix() to stream ConflictGraph bitset
-  /// rows straight into this matrix.
+  /// with fill_extreme_point_matrix() over ConflictGraph's packed MIS rows
+  /// (independent_set_rows()).
   DenseMatrix extreme_points;
   /// When > 0, normalize capacities by this instead of the input's own
   /// max extreme-point entry. The decomposition tier (opt/decompose.h)

@@ -118,7 +118,8 @@ ValidationRun run_network_validation(const ValidationConfig& cfg) {
 
   // Phase 2: optimize proportional-fair targets.
   OptimizerInput in;
-  in.extreme_points = build_extreme_point_matrix(capacities, conflicts);
+  fill_extreme_point_matrix(capacities, conflicts.independent_set_rows(),
+                            in.extreme_points);
   in.routing = DenseMatrix(static_cast<int>(links.size()),
                            static_cast<int>(paths.size()));
   for (std::size_t s = 0; s < paths.size(); ++s) {

@@ -111,8 +111,8 @@ MeasurementSnapshot decode_snapshot(const char* data, std::size_t size) {
     SnapshotLink l;
     l.src = cur.i32();
     l.dst = cur.i32();
-    l.rate = static_cast<Rate>(cur.u32());
-    l.retry_limit = cur.i32();
+    const std::uint32_t rate_code = cur.u32();
+    set_decoded_link_config(l, rate_code, cur.i32());
     l.estimate.p_data = cur.f64();
     l.estimate.p_ack = cur.f64();
     l.estimate.p_link = cur.f64();

@@ -390,8 +390,9 @@ TEST(ColumnGenOptimizer, ObjectiveMatchesExactSolverOnRandomInstances) {
 
     OptimizerInput exact_in;
     exact_in.routing = inst.in.routing;
-    exact_in.extreme_points =
-        build_extreme_point_matrix(inst.in.capacities, inst.graph);
+    fill_extreme_point_matrix(inst.in.capacities,
+                              inst.graph.independent_set_rows(),
+                              exact_in.extreme_points);
 
     const Objective objectives[] = {Objective::kMaxThroughput,
                                     Objective::kMaxMin,
@@ -425,8 +426,9 @@ TEST(ColumnGenOptimizer, WarmSolvesStayConsistentUnderCapacityDrift) {
     for (double& c : inst.in.capacities) c *= rng.uniform(0.9, 1.1);
     OptimizerInput exact_in;
     exact_in.routing = inst.in.routing;
-    exact_in.extreme_points =
-        build_extreme_point_matrix(inst.in.capacities, inst.graph);
+    fill_extreme_point_matrix(inst.in.capacities,
+                              inst.graph.independent_set_rows(),
+                              exact_in.extreme_points);
     const OptimizerResult exact = optimize_rates(exact_in, cfg);
     const OptimizerResult fast = warm.solve(inst.in);
     ASSERT_TRUE(exact.ok && fast.ok);
@@ -460,8 +462,9 @@ OptimizerResult exact_solve(const FuzzInstance& inst,
                             const OptimizerConfig& cfg) {
   OptimizerInput in;
   in.routing = inst.in.routing;
-  in.extreme_points =
-      build_extreme_point_matrix(inst.in.capacities, inst.graph);
+  fill_extreme_point_matrix(inst.in.capacities,
+                            inst.graph.independent_set_rows(),
+                            in.extreme_points);
   return optimize_rates(in, cfg);
 }
 

@@ -30,19 +30,23 @@ TEST(ConflictGraph, CompleteGraphSingletons) {
   for (const auto& s : sets) EXPECT_EQ(s.size(), 1u);
 }
 
-TEST(ConflictGraph, BitsetRowConsumerMatchesNestedSets) {
-  // The packed-row streaming API must emit exactly the sets the legacy
-  // nested API reports (order may differ: enumeration vs sorted).
+TEST(ConflictGraph, BitsetRowsMatchNestedSets) {
+  // The packed-row API must hold exactly the sets the sorted reference
+  // reports (order may differ: enumeration vs sorted).
   RngStream rng(21, "rows");
   ConflictGraph g(70);  // > 64 links: exercises the multi-word path
   for (int i = 0; i < 70; ++i)
     for (int j = i + 1; j < 70; ++j)
       if (rng.bernoulli(0.7)) g.add_conflict(i, j);
 
+  const MisRowSet rows = g.independent_set_rows();
+  ASSERT_EQ(rows.num_links(), 70);
+  ASSERT_EQ(rows.row_words(), g.row_words());
   std::vector<std::vector<int>> from_rows;
-  g.for_each_independent_set_row([&](const std::uint64_t* bits) {
+  for (int k = 0; k < rows.count(); ++k) {
+    const std::uint64_t* bits = rows.row(k);
     std::vector<int> s;
-    for (int w = 0; w < g.row_words(); ++w) {
+    for (int w = 0; w < rows.row_words(); ++w) {
       std::uint64_t word = bits[w];
       while (word != 0) {
         s.push_back(w * 64 + std::countr_zero(word));
@@ -50,18 +54,16 @@ TEST(ConflictGraph, BitsetRowConsumerMatchesNestedSets) {
       }
     }
     from_rows.push_back(std::move(s));
-  });
+  }
   std::sort(from_rows.begin(), from_rows.end());
   EXPECT_EQ(from_rows, g.maximal_independent_sets());
 }
 
-TEST(ConflictGraph, BitsetRowConsumerHonorsCap) {
+TEST(ConflictGraph, BitsetRowsHonorCap) {
   ConflictGraph g(10);
   for (int i = 0; i < 10; i += 2) g.add_conflict(i, i + 1);  // 2^5 sets
-  std::size_t seen = 0;
-  g.for_each_independent_set_row([&](const std::uint64_t*) { ++seen; },
-                                 /*cap=*/7);
-  EXPECT_EQ(seen, 7u);
+  EXPECT_EQ(g.independent_set_rows(/*cap=*/7).count(), 7);
+  EXPECT_EQ(g.independent_set_rows().count(), 32);
 }
 
 TEST(ConflictGraph, PathGraphMis) {

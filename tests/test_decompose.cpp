@@ -253,12 +253,13 @@ TEST(Decompose, ComponentCachesStayHotUnderLocalChurn) {
   // partition is unchanged): cluster 0's sub-fingerprint changes and its
   // slot misses; every other cluster's entry stays hot.
   const std::vector<int> churned = city_cluster_links(p, 0);
-  const std::uint64_t fp1_before = snap.component_fingerprint(
-      city_cluster_links(p, 1));
+  const std::uint64_t fp1_before =
+      snap.restrict_to(city_cluster_links(p, 1)).topology_fingerprint();
   for (int i : churned)
     for (int j : churned)
       if (i != j) snap.lir(i, j) = p.conflict_lir - 0.02;
-  EXPECT_EQ(snap.component_fingerprint(city_cluster_links(p, 1)), fp1_before);
+  EXPECT_EQ(snap.restrict_to(city_cluster_links(p, 1)).topology_fingerprint(),
+            fp1_before);
   ASSERT_TRUE(
       planner.plan(snap, InterferenceModelKind::kLirTable, flows, cfg).ok);
   EXPECT_EQ(planner.component_planner_stats(0).misses, 2u);

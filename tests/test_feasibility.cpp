@@ -14,6 +14,14 @@
 namespace meshopt {
 namespace {
 
+/// Eq. 4 over `g`'s MIS rows, as the model stage builds it.
+DenseMatrix extreme_points(const std::vector<double>& caps,
+                           const ConflictGraph& g, std::size_t cap = 200000) {
+  DenseMatrix m;
+  fill_extreme_point_matrix(caps, g.independent_set_rows(cap), m);
+  return m;
+}
+
 FeasibilityRegion two_link_time_sharing() {
   // Primary points only: (1,0) and (0,2) — a time sharing region.
   return FeasibilityRegion{{{1.0, 0.0}, {0.0, 2.0}}};
@@ -69,7 +77,7 @@ TEST(ExtremePoints, Eq4MapsIndependentSetsToCapacities) {
   ConflictGraph g(3);
   g.add_conflict(0, 1);
   g.add_conflict(1, 2);
-  auto points = build_extreme_point_matrix({1.0, 2.0, 3.0}, g).to_nested();
+  auto points = extreme_points({1.0, 2.0, 3.0}, g).to_nested();
   // Maximal independent sets: {0,2} and {1}, in either row order.
   ASSERT_EQ(points.size(), 2u);
   std::sort(points.begin(), points.end());
@@ -80,7 +88,7 @@ TEST(ExtremePoints, Eq4MapsIndependentSetsToCapacities) {
 TEST(ExtremePoints, NoConflictsYieldsFullVector) {
   ConflictGraph g(3);
   const auto points =
-      build_extreme_point_matrix({5.0, 6.0, 7.0}, g).to_nested();
+      extreme_points({5.0, 6.0, 7.0}, g).to_nested();
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0], (std::vector<double>{5.0, 6.0, 7.0}));
 }
@@ -92,13 +100,13 @@ TEST(ExtremePoints, RegionFromCliqueIsTimeSharing) {
   for (int i = 0; i < 3; ++i)
     for (int j = i + 1; j < 3; ++j) g.add_conflict(i, j);
   const std::vector<double> caps{1.0, 2.0, 4.0};
-  FeasibilityRegion r{build_extreme_point_matrix(caps, g)};
+  FeasibilityRegion r{extreme_points(caps, g)};
   EXPECT_TRUE(r.contains({0.5, 0.5, 1.0}));   // 0.5+0.25+0.25 = 1
   EXPECT_FALSE(r.contains({0.5, 0.5, 1.3}));  // > 1
 }
 
 TEST(ExtremePoints, MatrixBridgeMatchesNestedPathAsSets) {
-  // The DenseMatrix bridge emits rows in enumeration order; the
+  // The Eq. 4 fill emits rows in enumeration order; the
   // canonical maximal_independent_sets() list is sorted. Eq. 4 over that
   // list gives the same rows, possibly permuted.
   RngStream rng(11, "bridge");
@@ -109,7 +117,7 @@ TEST(ExtremePoints, MatrixBridgeMatchesNestedPathAsSets) {
   std::vector<double> caps;
   for (int i = 0; i < 10; ++i) caps.push_back(rng.uniform(0.5, 5.0));
 
-  const DenseMatrix m = build_extreme_point_matrix(caps, g);
+  const DenseMatrix m = extreme_points(caps, g);
   std::vector<std::vector<double>> nested;
   for (const auto& mis : g.maximal_independent_sets()) {
     std::vector<double> row(caps.size(), 0.0);
@@ -129,21 +137,20 @@ TEST(ExtremePoints, MatrixBridgeMatchesNestedPathAsSets) {
 
 TEST(ExtremePoints, MatrixBridgeRespectsCap) {
   ConflictGraph g(8);  // no conflicts: exactly one MIS
-  const DenseMatrix all = build_extreme_point_matrix(
+  const DenseMatrix all = extreme_points(
       std::vector<double>(8, 1.0), g);
   EXPECT_EQ(all.rows(), 1);
   // 4 disjoint conflicting pairs: 2^4 = 16 maximal independent sets.
   ConflictGraph pairs(8);
   for (int i = 0; i < 8; i += 2) pairs.add_conflict(i, i + 1);
-  const DenseMatrix capped = build_extreme_point_matrix(
+  const DenseMatrix capped = extreme_points(
       std::vector<double>(8, 1.0), pairs, /*cap=*/5);
   EXPECT_EQ(capped.rows(), 5);
 }
 
 TEST(ExtremePoints, MatrixBridgeCapacitySizeMismatchThrows) {
   ConflictGraph g(3);
-  EXPECT_THROW(build_extreme_point_matrix({1.0, 2.0}, g),
-               std::invalid_argument);
+  EXPECT_THROW((void)extreme_points({1.0, 2.0}, g), std::invalid_argument);
 }
 
 // Property: scaling any member by max_scaling lands on the boundary.

@@ -4,8 +4,9 @@
 // — never UB, stack overflow, or silent acceptance. Happy paths are
 // covered incidentally all over the suite; this file pins the edges:
 // truncation, unterminated strings, the recursion depth bound, trailing
-// garbage, malformed numbers/literals/escapes, accessor type errors, and
-// the writer's non-finite-double policy. The JsonNumberIo suite holds the
+// garbage, malformed numbers/literals/escapes, accessor type errors,
+// out-of-range link fields in snapshot documents and JSON submit frames,
+// and the writer's non-finite-double policy. The JsonNumberIo suite holds the
 // number writer and reader to the printf/strtod routines they replaced.
 
 #include <cfloat>
@@ -17,10 +18,13 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/snapshot.h"
+#include "serve/wire.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -121,6 +125,69 @@ TEST(JsonErrors, AccessorTypeMismatchesThrow) {
                std::invalid_argument);
   EXPECT_THROW((void)JsonValue::parse("1e300").as_int(),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------- snapshot link fields
+
+/// One 11 Mb/s link with retry limit 12 (two digits, so "-5" fits in place).
+MeasurementSnapshot one_link_snapshot() {
+  MeasurementSnapshot snap;
+  SnapshotLink l;
+  l.src = 0;
+  l.dst = 1;
+  l.rate = Rate::kR11Mbps;
+  l.retry_limit = 12;
+  snap.links.push_back(l);
+  return snap;
+}
+
+/// one_link_snapshot()'s JSON document with `from` replaced by `to`.
+std::string snapshot_doc_with(const std::string& from, const std::string& to) {
+  std::string doc = one_link_snapshot().to_json();
+  const std::size_t at = doc.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return doc.replace(at, from.size(), to);
+}
+
+TEST(JsonErrors, SnapshotLinkRateAndRetryLimitAreRangeChecked) {
+  // The document is well-formed JSON; the link fields are out of range.
+  // A rate that names no Rate must not be cast into one, and a negative
+  // retry limit is no MAC setting.
+  EXPECT_NO_THROW((void)MeasurementSnapshot::from_json(
+      snapshot_doc_with("\"rate\":1", "\"rate\":0")));
+  for (const char* rate : {"\"rate\":300", "\"rate\":2", "\"rate\":-1"})
+    EXPECT_THROW((void)MeasurementSnapshot::from_json(
+                     snapshot_doc_with("\"rate\":1", rate)),
+                 std::invalid_argument)
+        << rate;
+  EXPECT_THROW((void)MeasurementSnapshot::from_json(snapshot_doc_with(
+                   "\"retry_limit\":12", "\"retry_limit\":-5")),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)MeasurementSnapshot::from_json(snapshot_doc_with(
+      "\"retry_limit\":12", "\"retry_limit\":0")));
+}
+
+TEST(JsonErrors, JsonSubmitFrameRejectsOutOfRangeLinkFields) {
+  SubmitRequest req;
+  req.tenant = 3;
+  req.round_seq = 1;
+  req.format = WireFormat::kJson;
+  req.snapshot = one_link_snapshot();
+  std::string frame;
+  wire_append_submit(frame, req);
+  WireFrame out;
+  ASSERT_EQ(wire_decode_frame(frame, out), frame.size());
+  // Same-length edits keep the frame's length prefix valid.
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"rate\":1", "\"rate\":7"},
+        {"\"retry_limit\":12", "\"retry_limit\":-5"}}) {
+    std::string bad = frame;
+    const std::size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, from.size(), to);
+    EXPECT_THROW((void)wire_decode_frame(bad, out), std::invalid_argument)
+        << to;
+  }
 }
 
 // ------------------------------------------------------------- non-finite

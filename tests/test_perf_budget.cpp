@@ -148,7 +148,8 @@ TEST(PerfBudget, ExactTierProportionalFairSolve) {
       build_lir_conflict_graph(c.sub.lir, c.sub.lir_threshold);
   OptimizerInput in;
   in.routing = c.routing;
-  in.extreme_points = build_extreme_point_matrix(c.sub.capacities(), graph);
+  fill_extreme_point_matrix(c.sub.capacities(), graph.independent_set_rows(),
+                            in.extreme_points);
   OptimizerConfig cfg;
   cfg.objective = Objective::kProportionalFair;
   NetworkOptimizer opt(cfg);
@@ -162,7 +163,8 @@ OptimizerInput city_cluster_exact_input() {
       build_lir_conflict_graph(c.sub.lir, c.sub.lir_threshold);
   OptimizerInput in;
   in.routing = c.routing;
-  in.extreme_points = build_extreme_point_matrix(c.sub.capacities(), graph);
+  fill_extreme_point_matrix(c.sub.capacities(), graph.independent_set_rows(),
+                            in.extreme_points);
   return in;
 }
 

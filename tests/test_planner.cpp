@@ -2,11 +2,12 @@
 // capacity-only changes (and sensitivity to any neighbor/LIR edit), cache
 // hit/miss/eviction accounting, NaN and signed-zero LIR keys,
 // cached-vs-uncached model and plan bit-identity on the live and replay
-// paths, trace-segment sharding bit-identity, the two-stage build
+// paths, trace-segment sharding bit-identity, refill-vs-build
 // equivalence, and the routing of PlanConfig::decompose rounds.
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include "core/planner.h"
 #include "core/rate_plan.h"
 #include "core/snapshot.h"
-#include "model/feasibility.h"
 #include "obs/obs.h"
 #include "opt/decompose.h"
 #include "probe/live_source.h"
@@ -126,26 +126,31 @@ TEST(TopologyFingerprint, ChangesOnAnyTopologyEdit) {
   }
 }
 
-TEST(Planner, TwoStageBuildMatchesOneShot) {
+TEST(Planner, RefillMatchesOneShotBuild) {
+  // One model refilled over several drifted capacity vectors must equal,
+  // bit for bit, a fresh build over each vector — for both kinds, on a
+  // snapshot without an LIR table (kLirTable falls back to two-hop) and
+  // on one with it.
   for (const MeasurementSnapshot& snap :
        {chain_snapshot(), lir_snapshot(20, 11)}) {
     for (const InterferenceModelKind kind :
          {InterferenceModelKind::kTwoHop, InterferenceModelKind::kLirTable}) {
-      const InterferenceModel one_shot = InterferenceModel::build(snap, kind);
-      const InterferenceTopology topo =
-          InterferenceModel::build_topology(snap, kind);
-      const InterferenceModel staged =
-          InterferenceModel::from_topology(topo, snap.capacities());
-      EXPECT_EQ(staged.kind(), one_shot.kind());
-      EXPECT_EQ(staged.extreme_points(), one_shot.extreme_points());
-      // And the rows really carry the enumeration: refilling with fresh
-      // capacities matches a fresh one-shot build over those capacities.
+      InterferenceModel model = InterferenceModel::build(snap, kind);
+      RngStream rng(7, "planner-refill");
       MeasurementSnapshot drifted = snap;
-      for (SnapshotLink& l : drifted.links) l.estimate.capacity_bps *= 0.75;
-      const InterferenceModel refreshed =
-          InterferenceModel::from_topology(topo, drifted.capacities());
-      EXPECT_EQ(refreshed.extreme_points(),
-                InterferenceModel::build(drifted, kind).extreme_points());
+      for (int round = 0; round < 4; ++round) {
+        for (SnapshotLink& l : drifted.links)
+          l.estimate.capacity_bps = rng.uniform(0.3e6, 6e6);
+        model.refill(drifted.capacities());
+        const InterferenceModel one_shot =
+            InterferenceModel::build(drifted, kind);
+        EXPECT_EQ(model.kind(), one_shot.kind());
+        EXPECT_EQ(model.mis_rows(), one_shot.mis_rows());
+        EXPECT_EQ(model.extreme_points(), one_shot.extreme_points())
+            << "round " << round;
+      }
+      EXPECT_THROW(model.refill(std::vector<double>(snap.links.size() + 1)),
+                   std::invalid_argument);
     }
   }
 }
@@ -451,22 +456,6 @@ TEST(Planner, ShardedReplayBitIdenticalAndThreadIndependent) {
   const auto raw = serial.replay(cells, trace, uncached);
   for (std::size_t c = 0; c < cells.size(); ++c)
     EXPECT_EQ(raw[c].plans, unsharded[c].plans);
-}
-
-TEST(Planner, RegionReusesModelExtremePoints) {
-  // The FeasibilityRegion consumers' path: region() must wrap the model's
-  // already-built matrix (no re-enumeration), so its points match the
-  // one-shot build_extreme_point_matrix output exactly.
-  const MeasurementSnapshot snap = lir_snapshot(14, 41);
-  const InterferenceModel model =
-      InterferenceModel::build(snap, InterferenceModelKind::kLirTable);
-  const FeasibilityRegion region = model.region();
-  EXPECT_EQ(region.points(), model.extreme_points());
-  EXPECT_EQ(region.points(),
-            build_extreme_point_matrix(snap.capacities(), model.conflicts()));
-  // A plan's link load is feasible in its own region.
-  std::vector<double> load(snap.links.size(), 0.0);
-  EXPECT_TRUE(region.contains(load));
 }
 
 TEST(Planner, DecomposeRoutesConnectedRoundToMonolithicFallback) {

@@ -2,7 +2,7 @@
 // record-then-replay plan bit-identity against the live controller, fleet
 // replay determinism across thread counts (with zero Simulator
 // construction), probe-window batch-scheduling timing identity, and the
-// codec's truncation/corruption error paths.
+// codec's truncation/corruption error paths and out-of-range link fields.
 
 #include <cstdint>
 #include <cstdio>
@@ -18,6 +18,7 @@
 #include "probe/probe_system.h"
 #include "scenario/topologies.h"
 #include "scenario/workbench.h"
+#include "serve/wire.h"
 #include "sim/simulator.h"
 #include "sweep/controller_fleet.h"
 #include "util/trace_codec.h"
@@ -138,6 +139,50 @@ TEST(TraceCodec, BinaryDecoderNormalizesNeighborPairs) {
   EXPECT_TRUE(decoded[0].is_neighbor(2, 1));
   EXPECT_TRUE(decoded[0].is_neighbor(0, 3));
   EXPECT_FALSE(decoded[0].is_neighbor(0, 1));
+}
+
+/// Overwrite the little-endian 32-bit word at `at`.
+void patch_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    bytes[at + std::size_t(i)] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+TEST(TraceCodec, BinaryDecoderRejectsOutOfRangeLinkFields) {
+  // A MOTRACE1 payload opens with the link count, then each link's src,
+  // dst, rate and retry limit as 32-bit words: the first link's rate sits
+  // at payload offset 12 and its retry limit at 16. The binary decoder
+  // backs both trace files and binary submit frames.
+  const MeasurementSnapshot snap = synthetic_trace()[0];
+  std::string payload;
+  trace_append_snapshot_payload(payload, snap);
+  const std::string trace = encode_trace({snap});
+  SubmitRequest req;
+  req.tenant = 5;
+  req.round_seq = 1;
+  req.format = WireFormat::kBinary;
+  req.snapshot = snap;
+  std::string frame;
+  wire_append_submit(frame, req);
+  WireFrame out;
+  ASSERT_EQ(wire_decode_frame(frame, out), frame.size());
+  ASSERT_EQ(decode_trace(trace).size(), 1u);
+
+  const std::size_t trace_payload = trace.size() - payload.size();
+  const std::size_t frame_payload = frame.size() - payload.size();
+  for (const auto& [offset, value] :
+       {std::pair<std::size_t, std::uint32_t>{12, 300},   // rate 300
+        {12, 2},                                          // one past kR11Mbps
+        {16, static_cast<std::uint32_t>(-5)}}) {          // retry limit -5
+    std::string bad_trace = trace;
+    patch_u32(bad_trace, trace_payload + offset, value);
+    EXPECT_THROW((void)decode_trace(bad_trace), std::invalid_argument)
+        << offset << " " << value;
+    std::string bad_frame = frame;
+    patch_u32(bad_frame, frame_payload + offset, value);
+    EXPECT_THROW((void)wire_decode_frame(bad_frame, out),
+                 std::invalid_argument)
+        << offset << " " << value;
+  }
 }
 
 TEST(TraceCodec, TruncatedAndCorruptTracesAreSchemaErrors) {
